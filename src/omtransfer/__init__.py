@@ -15,6 +15,7 @@ from .gaussian import (
     fock_oracle_fidelity,
     gaussian_fidelity,
     integrate,
+    integrate_batch,
     make_squeezed_coherent,
     moment_rhs,
     reduce_to_mode,

@@ -26,7 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a scenario config and write CSV artifacts")
     run.add_argument("config", type=Path)
     run.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    run.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="kept for compatibility, must be >= 1; runs are single-threaded")
 
     val = sub.add_parser("validate", help="parse and validate a scenario config")
     val.add_argument("config", type=Path)
@@ -57,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
         print("config error: --jobs must be >= 1", file=sys.stderr)
         return 1
     try:
-        artifacts = run_scenario(config, out_dir=args.out, jobs=args.jobs)
+        artifacts = run_scenario(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,7 @@ __all__ = [
     "embed_initial",
     "moment_rhs",
     "integrate",
+    "integrate_batch",
     "reduce_to_mode",
     "quadrature_covariance",
     "gaussian_fidelity",
@@ -55,9 +56,6 @@ class GaussianError(ValueError):
 
 class PhysicalityError(GaussianError):
     """A state violated the uncertainty relation beyond tolerance."""
-
-
-_SYMPLECTIC_6 = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,37 @@ def quadrature_covariance(normal: np.ndarray, anomalous: np.ndarray) -> np.ndarr
     return sigma
 
 
-def _physicality_defect(normal: np.ndarray, anomalous: np.ndarray) -> float:
-    sigma = quadrature_covariance(normal, anomalous)
-    w = np.linalg.eigvalsh(sigma + 1j * _SYMPLECTIC_6)
-    return float(w[0])
+def _first_fault(normal: np.ndarray, anomalous: np.ndarray) -> tuple[int, GaussianError] | None:
+    """First row of (P, 3, 3) moment stacks that is no Gaussian state, with its error.
+
+    sigma + i Omega = 2 U R U^+ for a unitary U, with R = [[1 + N^T, A], [A*, N]]
+    the Gram matrix of the fluctuations (da, da^+); the defect is 2 min eig R.
+    """
+    gram = np.empty((len(normal), 6, 6), dtype=complex)
+    gram[:, :3, :3] = normal.swapaxes(1, 2) + np.eye(3)
+    gram[:, :3, 3:] = anomalous
+    gram[:, 3:, :3] = anomalous.conj()
+    gram[:, 3:, 3:] = normal
+    scale = np.maximum(1.0, np.abs(gram[:, :, 3:]).max(axis=(1, 2)))
+    # R is Hermitian exactly when N is Hermitian and A symmetric
+    asym = np.abs(gram - gram.conj().swapaxes(1, 2)) > 1e-8 * scale[:, None, None]
+    checks = (
+        ("normal moment block must be Hermitian", asym[:, 3:, 3:].any(axis=(1, 2))),
+        ("anomalous moment block must be symmetric", asym[:, :3, 3:].any(axis=(1, 2))),
+        ("normal moments have a negative occupation",
+         normal.real.diagonal(axis1=1, axis2=2).min(axis=1) < -1e-10 * scale),
+    )
+    for message, bad in checks:
+        if bad.any():
+            return int(np.argmax(bad)), GaussianError(message)
+    defect = 2.0 * np.linalg.eigvalsh(gram)[:, 0]
+    bad = defect < -1e-8 * scale
+    if bad.any():
+        row = int(np.argmax(bad))
+        return row, PhysicalityError(
+            f"covariance violates the uncertainty relation (defect {defect[row]:.3e})"
+        )
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,18 +155,9 @@ class ThreeModeGaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "anomalous", anomalous)
-        scale = max(1.0, float(np.abs(normal).max()), float(np.abs(anomalous).max()))
-        if np.abs(normal - normal.conj().T).max() > 1e-8 * scale:
-            raise GaussianError("normal moment block must be Hermitian")
-        if np.abs(anomalous - anomalous.T).max() > 1e-8 * scale:
-            raise GaussianError("anomalous moment block must be symmetric")
-        if normal.real.diagonal().min() < -1e-10 * scale:
-            raise GaussianError("normal moments have a negative occupation")
-        defect = _physicality_defect(normal, anomalous)
-        if defect < -1e-8 * scale:
-            raise PhysicalityError(
-                f"covariance violates the uncertainty relation (defect {defect:.3e})"
-            )
+        fault = _first_fault(normal[None], anomalous[None])
+        if fault is not None:
+            raise fault[1]
 
 
 class MomentDerivative(NamedTuple):
@@ -193,33 +209,33 @@ def embed_initial(
     return ThreeModeGaussianState(mean=mean, normal=normal, anomalous=anomalous)
 
 
-def _matrix_at(params: SystemParams, schedule: CouplingSchedule, t: float) -> np.ndarray:
+def _damping_and_diffusion(params_seq) -> tuple[np.ndarray, np.ndarray]:
+    """Uncoupled drift stack diag(-i (kappa1, gamma_m, kappa2) / 2) and diffusion, per row."""
+    damping = np.zeros((len(params_seq), 3, 3), dtype=complex)
+    diffusion = np.zeros_like(damping)
+    damping[:, [0, 1, 2], [0, 1, 2]] = [
+        [-0.5j * p.kappa1, -0.5j * p.gamma_m, -0.5j * p.kappa2] for p in params_seq
+    ]
+    diffusion[:, 1, 1] = [p.gamma_m * p.n_th for p in params_seq]
+    return damping, diffusion
+
+
+def _drift(damping: np.ndarray, schedule: CouplingSchedule, t: float) -> np.ndarray:
+    """(P, 3, 3) drift stack M at time t; every row shares the couplings."""
     # RK4 stage times may overshoot the schedule end by rounding; clamp
     g1, g2 = schedule.values(min(max(t, 0.0), schedule.duration))
-    return np.array(
-        [
-            [-0.5j * params.kappa1, g1, 0.0],
-            [g1, -0.5j * params.gamma_m, g2],
-            [0.0, g2, -0.5j * params.kappa2],
-        ],
-        dtype=complex,
+    m = damping.copy()
+    m[:, 0, 1] = m[:, 1, 0] = g1
+    m[:, 1, 2] = m[:, 2, 1] = g2
+    return m
+
+
+def _derivative(m, diffusion, mean, normal, anomalous) -> tuple[np.ndarray, ...]:
+    return (
+        -1j * (m @ mean),
+        1j * (m.conj() @ normal) - 1j * (normal @ m) + diffusion,
+        -1j * (m @ anomalous + anomalous @ m),
     )
-
-
-def _rhs(
-    t: float,
-    mean: np.ndarray,
-    normal: np.ndarray,
-    anomalous: np.ndarray,
-    params: SystemParams,
-    schedule: CouplingSchedule,
-    diffusion: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m = _matrix_at(params, schedule, t)
-    dmean = -1j * (m @ mean)
-    dnormal = 1j * (m.conj() @ normal) - 1j * (normal @ m) + diffusion
-    danomalous = -1j * (m @ anomalous + anomalous @ m)
-    return dmean, dnormal, danomalous
 
 
 def moment_rhs(
@@ -229,27 +245,62 @@ def moment_rhs(
     schedule: CouplingSchedule,
 ) -> MomentDerivative:
     """Time derivative of (mean, N, A) under the Langevin moment equations."""
-    diffusion = np.zeros((3, 3), dtype=complex)
-    diffusion[1, 1] = params.gamma_m * params.n_th
-    d = _rhs(t, state.mean, state.normal, state.anomalous, params, schedule, diffusion)
-    return MomentDerivative(*d)
+    damping, diffusion = _damping_and_diffusion([params])
+    moments = (state.mean[None, :, None], state.normal[None], state.anomalous[None])
+    d = _derivative(_drift(damping, schedule, t), diffusion, *moments)
+    return MomentDerivative(d[0][0, :, 0], d[1][0], d[2][0])
 
 
-def _default_step(
-    params: SystemParams, schedule: CouplingSchedule, t_final: float
-) -> float:
-    g_max = 0.0
-    for k in range(257):
-        t = t_final * k / 256.0
-        g1, g2 = schedule.values(t)
-        g_max = max(g_max, abs(g1), abs(g2))
+def _peak_coupling(schedule: CouplingSchedule, t_final: float) -> float:
+    return max(max(map(abs, schedule.values(t_final * k / 256.0))) for k in range(257))
+
+
+def _step_count(
+    params: SystemParams, g_max: float, t_final: float, max_step: float | None = None
+) -> int:
     rate = max(params.kappa1, params.kappa2, params.gamma_m, g_max)
     h = min(t_final / 2000.0, 0.01)
     if rate > 0:
-        # the extra 0.01/rate term keeps the RK4 defect (rate*h)^4 below the
-        # 1e-8 physicality tolerance for pure states on long runs
-        h = min(h, 0.1 / rate, 0.01 / rate)
-    return h
+        # keeps the RK4 defect (rate*h)^4 below the 1e-8 physicality
+        # tolerance for pure states on long runs
+        h = min(h, 0.01 / rate)
+    if max_step is not None:
+        h = min(h, max_step)
+    return max(1, math.ceil(t_final / h))
+
+
+def _shifted(state, c, d):
+    return state[0] + c * d[0], state[1] + c * d[1], state[2] + c * d[2]
+
+
+def _rk4_samples(mean, normal, anomalous, params_seq, schedule, t_final, n_steps, n_samples):
+    """Fixed-step RK4 on (P, 3) means and (P, 3, 3) N and A stacks.
+
+    Yields (t, mean, N, A) at every recorded sample time, t_final last.  N
+    and A are re-symmetrized after every step; yielded arrays are never
+    modified afterwards.
+    """
+    damping, diffusion = _damping_and_diffusion(params_seq)
+    h = t_final / n_steps
+    w = h / 6.0
+    record_every = max(1, n_steps // max(1, n_samples - 1))
+    state = (mean[..., None], normal, anomalous)  # means as columns for matmul
+    for k in range(n_steps):
+        t = k * h
+        k1 = _derivative(_drift(damping, schedule, t), diffusion, *state)
+        m_half = _drift(damping, schedule, t + 0.5 * h)
+        k2 = _derivative(m_half, diffusion, *_shifted(state, 0.5 * h, k1))
+        k3 = _derivative(m_half, diffusion, *_shifted(state, 0.5 * h, k2))
+        k4 = _derivative(_drift(damping, schedule, t + h), diffusion, *_shifted(state, h, k3))
+        mean = state[0] + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        normal = state[1] + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        anomalous = state[2] + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        normal = 0.5 * (normal + normal.conj().swapaxes(1, 2))
+        anomalous = 0.5 * (anomalous + anomalous.swapaxes(1, 2))
+        state = (mean, normal, anomalous)
+        if (k + 1) % record_every == 0 and k + 1 < n_steps:
+            yield (k + 1) * h, mean[..., 0], normal, anomalous
+    yield t_final, mean[..., 0], normal, anomalous
 
 
 def integrate(
@@ -262,84 +313,66 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 integration of the moment equations.
 
-    The step is h = min(T/2000, 0.01, 0.1/max(kappa, gamma_m, g)), optionally
-    capped by max_step; fixed stepping keeps trajectories reproducible.
-    N and A are re-symmetrized after every step and physicality is
-    re-validated at each recorded sample.
+    The step is h = min(T/2000, 0.01, 0.01/max(kappa1, kappa2, gamma_m, g)),
+    with g the peak coupling on 257 grid times, optionally capped by
+    max_step; fixed stepping keeps trajectories reproducible.  N and A are
+    re-symmetrized after every step and physicality is re-validated at each
+    recorded sample.
     """
     if t_final <= 0:
         raise GaussianError("t_final must be positive")
-    h = _default_step(params, schedule, t_final)
-    if max_step is not None:
-        h = min(h, max_step)
-    n_steps = max(1, math.ceil(t_final / h))
-    h = t_final / n_steps
-
-    diffusion = np.zeros((3, 3), dtype=complex)
-    diffusion[1, 1] = params.gamma_m * params.n_th
-
-    record_every = max(1, n_steps // max(1, n_samples - 1))
-    mean = state0.mean.copy()
-    normal = state0.normal.copy()
-    anomalous = state0.anomalous.copy()
-
+    n_steps = _step_count(params, _peak_coupling(schedule, t_final), t_final, max_step)
     times = [0.0]
     states = [state0]
-
-    def snapshot(t: float) -> None:
-        state = ThreeModeGaussianState(
-            mean=mean.copy(), normal=normal.copy(), anomalous=anomalous.copy()
-        )
+    samples = _rk4_samples(
+        state0.mean[None], state0.normal[None], state0.anomalous[None], [params],
+        schedule, t_final, n_steps, n_samples,
+    )
+    for t, mean, normal, anomalous in samples:
+        try:
+            states.append(ThreeModeGaussianState(mean[0], normal[0], anomalous[0]))
+        except PhysicalityError as exc:
+            raise PhysicalityError(f"physicality violation at t = {t:.6g}: {exc}") from exc
         times.append(t)
-        states.append(state)
-
-    for k in range(n_steps):
-        t = k * h
-        k1 = _rhs(t, mean, normal, anomalous, params, schedule, diffusion)
-        k2 = _rhs(
-            t + 0.5 * h,
-            mean + 0.5 * h * k1[0],
-            normal + 0.5 * h * k1[1],
-            anomalous + 0.5 * h * k1[2],
-            params,
-            schedule,
-            diffusion,
-        )
-        k3 = _rhs(
-            t + 0.5 * h,
-            mean + 0.5 * h * k2[0],
-            normal + 0.5 * h * k2[1],
-            anomalous + 0.5 * h * k2[2],
-            params,
-            schedule,
-            diffusion,
-        )
-        k4 = _rhs(
-            t + h,
-            mean + h * k3[0],
-            normal + h * k3[1],
-            anomalous + h * k3[2],
-            params,
-            schedule,
-            diffusion,
-        )
-        mean = mean + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        normal = normal + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        anomalous = anomalous + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        normal = 0.5 * (normal + normal.conj().T)
-        anomalous = 0.5 * (anomalous + anomalous.T)
-        if (k + 1) % record_every == 0 and k + 1 < n_steps:
-            try:
-                snapshot((k + 1) * h)
-            except PhysicalityError as exc:
-                raise PhysicalityError(
-                    f"physicality violation at t = {(k + 1) * h:.6g}: {exc}"
-                ) from exc
-    try:
-        snapshot(t_final)
-    except PhysicalityError as exc:
-        raise PhysicalityError(f"physicality violation at t = {t_final:.6g}: {exc}") from exc
     return Trajectory(times=np.array(times), states=states)
+
+
+def integrate_batch(
+    states0: list[ThreeModeGaussianState],
+    params_seq: list[SystemParams],
+    schedule: CouplingSchedule,
+    t_final: float,
+) -> list[ThreeModeGaussianState]:
+    """Final states of integrate(states0[i], params_seq[i], schedule, t_final).
+
+    Rows sharing a step count advance together as one stack, so every final
+    state is bitwise equal to the serial result.  The same physicality tests
+    run at every recorded sample, on all rows at once.
+    """
+    if t_final <= 0:
+        raise GaussianError("t_final must be positive")
+    if len(states0) != len(params_seq):
+        raise GaussianError("need one SystemParams per initial state")
+    g_max = _peak_coupling(schedule, t_final)
+    groups: dict[int, list[int]] = {}
+    for i, params in enumerate(params_seq):
+        groups.setdefault(_step_count(params, g_max, t_final), []).append(i)
+    finals: list = [None] * len(states0)
+    for n_steps, rows in groups.items():
+        stacks = [
+            np.array([getattr(states0[i], f) for i in rows]) for f in ("mean", "normal", "anomalous")
+        ]
+        samples = _rk4_samples(
+            *stacks, [params_seq[i] for i in rows], schedule, t_final, n_steps, 201
+        )
+        for t, mean, normal, anomalous in samples:
+            fault = _first_fault(normal, anomalous)
+            if fault is not None:
+                j, exc = fault
+                raise type(exc)(f"physicality violation at t = {t:.6g}, row {rows[j]}: {exc}")
+        for j, i in enumerate(rows):
+            finals[i] = ThreeModeGaussianState(mean[j], normal[j], anomalous[j])
+    return finals
 
 
 def reduce_to_mode(state: ThreeModeGaussianState, index: int) -> SingleModeGaussian:

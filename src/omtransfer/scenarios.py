@@ -1,16 +1,16 @@
 """Scenario execution: sweeps, CSV artifacts, and summary records.
 
 Each run produces deterministic CSV files (see ``csvio``) plus one summary
-record of the key scalars.  Sweep points may execute in parallel worker
-threads; artifact assembly always happens in sweep order so repeated runs
-are byte-identical.
+record of the key scalars.  A conversion sweep integrates all its points,
+and their quiet-bath twins when ``delta_f`` is set, as one batched moment
+integration; spectrum and pulse points run one after another.  Everything
+runs in one thread and in sweep order, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,42 +68,21 @@ def _base_name(config: ScenarioConfig) -> str:
     return base
 
 
-def _map_points(config: ScenarioConfig, worker, jobs: int) -> list:
-    indices = range(config.n_runs)
-    if jobs <= 1 or config.n_runs == 1:
-        return [worker(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, indices))
-
-
-def _run_convert(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifacts:
+def _run_convert(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
     schedule = config.schedule
     duration = schedule.duration
-
-    def run_point(idx: int):
-        cfg = apply_sweep_point(config, idx)
-        initial = gaussian.make_squeezed_coherent(cfg.alpha, cfg.r, cfg.phi)
-        state0 = gaussian.embed_initial(initial, cfg.mech_occupation)
-        traj = gaussian.integrate(state0, cfg.params, schedule, duration)
-        final = gaussian.reduce_to_mode(traj.final, 3)
-        f_num = gaussian.gaussian_fidelity(initial, final)
-        report = None
-        try:
-            report = adiabatic.analytic_fidelity(
-                cfg.alpha, cfg.r, cfg.phi, cfg.params, schedule, duration
-            )
-        except adiabatic.AdiabaticError:
-            pass  # outside the expansion regime; numeric fidelity stands alone
-        f_ref = None
-        if config.delta_f:
-            quiet = dataclasses.replace(cfg.params, gamma_m=0.0, n_th=0.0)
-            traj_ref = gaussian.integrate(state0, quiet, schedule, duration)
-            f_ref = gaussian.gaussian_fidelity(
-                initial, gaussian.reduce_to_mode(traj_ref.final, 3)
-            )
-        return cfg, f_num, report, f_ref
-
-    results = _map_points(config, run_point, jobs)
+    cfgs = [apply_sweep_point(config, idx) for idx in range(config.n_runs)]
+    initials = [gaussian.make_squeezed_coherent(c.alpha, c.r, c.phi) for c in cfgs]
+    states0 = [gaussian.embed_initial(s, c.mech_occupation) for s, c in zip(initials, cfgs)]
+    params = [c.params for c in cfgs]
+    if config.delta_f:
+        # quiet-bath twins isolate the mechanical-noise effect
+        states0 += states0
+        params += [dataclasses.replace(p, gamma_m=0.0, n_th=0.0) for p in params]
+    finals = [
+        gaussian.reduce_to_mode(st, 3)
+        for st in gaussian.integrate_batch(states0, params, schedule, duration)
+    ]
 
     sweep_names = list(config.sweep.parameters) if config.sweep else []
     header = sweep_names + ["F_numeric", "F1_analytic", "F_analytic", "F2_analytic", "f0T", "fs"]
@@ -111,7 +90,15 @@ def _run_convert(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifac
         header += ["F_reference", "delta_F", "fs_bound"]
     rows = []
     summaries = []
-    for idx, (cfg, f_num, report, f_ref) in enumerate(results):
+    for idx, cfg in enumerate(cfgs):
+        f_num = gaussian.gaussian_fidelity(initials[idx], finals[idx])
+        report = None
+        try:
+            report = adiabatic.analytic_fidelity(
+                cfg.alpha, cfg.r, cfg.phi, cfg.params, schedule, duration
+            )
+        except adiabatic.AdiabaticError:
+            pass  # outside the expansion regime; numeric fidelity stands alone
         row: list = [v for v in (config.sweep.points[idx] if config.sweep else [])]
         scalars = [("F", f_num)]
         if report is not None:
@@ -121,6 +108,7 @@ def _run_convert(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifac
         else:
             row += [f_num, "", "", "", "", ""]
         if config.delta_f:
+            f_ref = gaussian.gaussian_fidelity(initials[idx], finals[len(cfgs) + idx])
             fsb = adiabatic.fs_bound(cfg.params, schedule, duration)
             row += [f_ref, abs(f_num - f_ref), fsb]
             scalars += [("F_reference", f_ref), ("delta_F", abs(f_num - f_ref)),
@@ -132,7 +120,7 @@ def _run_convert(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifac
     return RunArtifacts(files=(path,), summaries=tuple(summaries))
 
 
-def _run_spectrum(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifacts:
+def _run_spectrum(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
     omegas = np.linspace(config.omega_min, config.omega_max, config.n_omega)
 
     def run_point(idx: int):
@@ -144,7 +132,7 @@ def _run_spectrum(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifa
         hw_an, hw_num = transmission.half_width(cfg.params, sched.g1, sched.g2)
         return cfg, spec, res, hw_an, hw_num
 
-    results = _map_points(config, run_point, jobs)
+    results = [run_point(idx) for idx in range(config.n_runs)]
     base = _base_name(config)
     files = []
     summaries = []
@@ -163,7 +151,7 @@ def _run_spectrum(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifa
     return RunArtifacts(files=tuple(files), summaries=tuple(summaries))
 
 
-def _run_pulse(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifacts:
+def _run_pulse(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
     time_domain = config.scenario == "engineer"
 
     def run_point(idx: int):
@@ -186,7 +174,7 @@ def _run_pulse(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifacts
             hw = transmission.half_width(cfg.params, cfg.schedule.g1, cfg.schedule.g2)
         return cfg, p_in, p_out, fp, energy, res, hw
 
-    results = _map_points(config, run_point, jobs)
+    results = [run_point(idx) for idx in range(config.n_runs)]
     base = _base_name(config)
     files = []
     summaries = []
@@ -221,16 +209,16 @@ def _run_pulse(config: ScenarioConfig, out_dir: Path, jobs: int) -> RunArtifacts
     return RunArtifacts(files=tuple(files), summaries=tuple(summaries))
 
 
-def run_scenario(config: ScenarioConfig, out_dir: Path | str = ".", jobs: int = 1) -> RunArtifacts:
+def run_scenario(config: ScenarioConfig, out_dir: Path | str = ".") -> RunArtifacts:
     """Execute a validated configuration and write its artifacts under out_dir."""
     out = Path(out_dir)
     try:
         if config.scenario == "convert":
-            return _run_convert(config, out, jobs)
+            return _run_convert(config, out)
         if config.scenario == "spectrum":
-            return _run_spectrum(config, out, jobs)
+            return _run_spectrum(config, out)
         if config.scenario in ("transmit", "engineer"):
-            return _run_pulse(config, out, jobs)
+            return _run_pulse(config, out)
     except ScenarioError:
         raise
     except ConfigError:

@@ -14,12 +14,16 @@ from omtransfer.gaussian import (
     fock_oracle_fidelity,
     gaussian_fidelity,
     integrate,
+    integrate_batch,
     make_squeezed_coherent,
+    quadrature_covariance,
     moment_rhs,
     reduce_to_mode,
     trajectory_to_csv,
 )
 from omtransfer.model import ConstantCoupling, SystemParams, TrigSchedule
+
+_OMEGA_6 = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 FIG1 = TrigSchedule(5.0, math.pi / 2)
 
@@ -274,6 +278,79 @@ def test_physicality_error_during_integration():
     bad_anom[0, 0] = 0.8  # |m| > 0 with n = 0 violates n(n+1) >= |m|^2
     with pytest.raises(PhysicalityError):
         ThreeModeGaussianState(mean=np.zeros(3), normal=bad_normal, anomalous=bad_anom)
+
+
+def test_uncertainty_test_matches_quadrature_covariance():
+    # the validator tests the (da, da^+) Gram matrix; it must accept exactly
+    # the states whose quadrature covariance obeys sigma + i Omega >= 0
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(200):
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        cases.append((0.3 * x @ x.conj().T, 0.4 * (y + y.T)))
+    # a pure squeezed mode sits on the boundary; shift its occupation by 1e-6
+    sq = make_squeezed_coherent(0.0, 0.5, 0.2)
+    for shift in (1e-6, -1e-6):
+        cases.append((np.diag([sq.n_ex + shift, 0.0, 0.0]), np.diag([sq.m_an, 0.0, 0.0])))
+    outcomes = set()
+    for normal, anomalous in cases:
+        defect = np.linalg.eigvalsh(quadrature_covariance(normal, anomalous) + 1j * _OMEGA_6)[0]
+        scale = max(1.0, np.abs(normal).max(), np.abs(anomalous).max())
+        physical = defect >= -1e-8 * scale
+        try:
+            ThreeModeGaussianState(mean=np.zeros(3), normal=normal, anomalous=anomalous)
+            accepted = True
+        except PhysicalityError:
+            accepted = False
+        assert accepted == physical
+        outcomes.add(physical)
+    assert outcomes == {True, False}
+
+
+def test_integrate_batch_bitwise_equal_to_serial():
+    coherent = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    squeezed = embed_initial(make_squeezed_coherent(1.0, 0.4, 0.3), 1.5)
+    hot = dict(gamma_m=2e-4, n_th=100.0)
+    quiet = dict(gamma_m=0.0, n_th=0.0)
+    rows = [
+        (coherent, SystemParams(kappa1=0.0, kappa2=0.0, **hot)),
+        (squeezed, SystemParams(kappa1=0.3, kappa2=0.1, **hot)),
+        (coherent, SystemParams(kappa1=50.0, kappa2=0.0, **hot)),  # 7854 steps, not 2000
+        (squeezed, SystemParams(kappa1=1.0, kappa2=0.0, **hot)),
+        (coherent, SystemParams(kappa1=0.0, kappa2=0.0, **quiet)),  # quiet-bath twins
+        (squeezed, SystemParams(kappa1=0.3, kappa2=0.1, **quiet)),
+    ]
+    finals = integrate_batch([st for st, _ in rows], [p for _, p in rows], FIG1, math.pi / 2)
+    assert len(finals) == len(rows)
+    for (st0, p), got in zip(rows, finals):
+        want = integrate(st0, p, FIG1, math.pi / 2).final
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.normal, want.normal)
+        assert np.array_equal(got.anomalous, want.anomalous)
+
+
+def test_integrate_batch_names_time_and_row_of_unphysical_row():
+    good = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    bad = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    bad_anom = np.zeros((3, 3), dtype=complex)
+    bad_anom[0, 0] = 0.5  # N = 0 with |m| > 0 violates n(n+1) >= |m|^2
+    object.__setattr__(bad, "anomalous", bad_anom)  # bypass the constructor check
+    p = SystemParams(kappa1=0.0, kappa2=0.0)
+    # row 1 runs in its own step group, so row 2 is the second row of its stack
+    params = [p, SystemParams(kappa1=50.0, kappa2=0.0), p]
+    first_sample = 10 * (math.pi / 2) / 2000
+    with pytest.raises(PhysicalityError, match=rf"t = {first_sample:.6g}, row 2: .*uncertainty"):
+        integrate_batch([good, good, bad], params, FIG1, math.pi / 2)
+
+
+def test_integrate_batch_rejects_bad_input():
+    st = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    p = SystemParams(kappa1=0.0, kappa2=0.0)
+    with pytest.raises(GaussianError):
+        integrate_batch([st, st], [p], FIG1, math.pi / 2)
+    with pytest.raises(GaussianError):
+        integrate_batch([st], [p], FIG1, 0.0)
 
 
 def test_trajectory_csv_layout():
