@@ -6,15 +6,21 @@ stores the photonic state during adiabatic transfer.  Damping moves the
 dark eigenvalue to -i(kappa2 g1^2 + kappa1 g2^2)/2g0^2 and mixes in a
 mechanical component proportional to (kappa1 - kappa2).
 
-Eigenvalues are computed from the characteristic cubic in closed form
-(Cardano) and polished with one Newton step; eigenvectors come from
-inverse iteration.  The fixed 3x3 size makes the closed form both faster
-and more reproducible than an iterative QR solver.
+Eigenpairs come from LAPACK (np.linalg.eig), one call for a whole stack of
+matrices, and every pair is checked against its residual.  A sweep matches
+the raw eigenvectors of consecutive times by their best overlap
+permutation, so only the composition of those permutations is sequential.
+
+Near an exceptional point two eigenvectors merge and U stops being
+invertible.  An eigensystem is therefore rejected with SpectralError when
+the condition number ||U||_F ||U^-1||_F of its unit-column basis exceeds
+1/(1e3 * _RESIDUAL_TOL) = 1e7.  At kappa1 = 0.4, kappa2 = gamma_m = 0,
+g2 = 0 the exceptional point is g1 = 0.1 (condition 1.4e8, rejected); at
+g1 = 0.1 (1 + 1e-9) the condition is 5.5e4 and the pairs are returned.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +43,8 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
+_MAX_CONDITION = 1.0 / (1e3 * _RESIDUAL_TOL)
+_PERMUTATIONS = np.array(list(permutations(range(3))))
 
 
 class SpectralError(RuntimeError):
@@ -64,197 +72,105 @@ class DarkMode:
     mechanical_weight: float
 
 
-def _det3(a: np.ndarray) -> complex:
-    return (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-
-
-def _adjugate3(a: np.ndarray) -> np.ndarray:
-    out = np.empty((3, 3), dtype=complex)
-    out[0, 0] = a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-    out[0, 1] = a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2]
-    out[0, 2] = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
-    out[1, 0] = a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2]
-    out[1, 1] = a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-    out[1, 2] = a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]
-    out[2, 0] = a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]
-    out[2, 1] = a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1]
-    out[2, 2] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return out
-
-
-def _cardano(b: complex, c: complex, d: complex) -> list[complex]:
-    """Roots of x^3 + b x^2 + c x + d with complex coefficients."""
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    if p == 0 and q == 0:
-        y = [0.0 + 0.0j] * 3
-    else:
-        s = cmath.sqrt(q * q / 4.0 + p**3 / 27.0)
-        # pick the cube whose base has the larger modulus to avoid cancellation
-        u3 = -q / 2.0 + s
-        alt = -q / 2.0 - s
-        if abs(alt) > abs(u3):
-            u3 = alt
-        u = u3 ** (1.0 / 3.0)
-        w = complex(-0.5, math.sqrt(3.0) / 2.0)
-        y = []
-        for k in range(3):
-            uk = u * w**k
-            y.append(uk - p / (3.0 * uk))
-    roots = [yk - b / 3.0 for yk in y]
-    # one Newton polish per root to control cancellation
-    polished = []
-    for x in roots:
-        f = x**3 + b * x * x + c * x + d
-        fp = 3.0 * x * x + 2.0 * b * x + c
-        if fp != 0:
-            x = x - f / fp
-        polished.append(x)
-    return polished
-
-
-def _char_coeffs(m: np.ndarray) -> tuple[complex, complex, complex]:
-    """Coefficients (b, c, d) of det(lam I - M) = lam^3 + b lam^2 + c lam + d."""
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    minors = (
-        m[0, 0] * m[1, 1]
-        - m[0, 1] * m[1, 0]
-        + m[0, 0] * m[2, 2]
-        - m[0, 2] * m[2, 0]
-        + m[1, 1] * m[2, 2]
-        - m[1, 2] * m[2, 1]
-    )
-    return -tr, minors, -_det3(m)
+def _top_phase(v: np.ndarray) -> np.ndarray:
+    """Unit factor making the largest-modulus entry of v (of each column) real and positive."""
+    top = np.take_along_axis(v, np.abs(v).argmax(axis=0)[None], axis=0)[0]
+    return top.conj() / np.abs(top)
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     v = v / np.linalg.norm(v)
-    i = int(np.argmax(np.abs(v)))
-    ph = v[i] / abs(v[i])
-    return v * np.conj(ph)
+    return v * _top_phase(v)
 
 
-def _inverse_iterate(m: np.ndarray, lam: complex, b0: np.ndarray, shift: float) -> np.ndarray:
-    v = b0 / np.linalg.norm(b0)
-    shifted = m - (lam + shift * (1.0 + 1.0j)) * np.eye(3)
-    for _ in range(3):
-        try:
-            v = np.linalg.solve(shifted, v)
-        except np.linalg.LinAlgError:
-            return b0 / np.linalg.norm(b0)
-        v = v / np.linalg.norm(v)
-    return v
+def _tracked(mats: np.ndarray, reference: np.ndarray | None = None) -> list[Eigensystem]:
+    """Eigensystems of a (K, 3, 3) stack whose columns stay continuous from step to step.
 
+    Without reference vectors the first step is ordered by ascending
+    (Re, Im) lambda in the _top_phase gauge; with them it is matched to
+    them.  Each later step is matched to the one before.  Matching picks
+    the column permutation of maximal summed overlap modulus and aligns
+    each column's phase to its predecessor.
+    """
+    lambdas, raw = np.linalg.eig(mats)
+    limit = 1e3 * _RESIDUAL_TOL * np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1.0)
+    res = np.linalg.norm(mats @ raw - raw * lambdas[:, None, :], axis=1)
+    bad = ~(res <= limit[:, None])
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise SpectralError(f"eigenpair {i} residual {res[k, i]:.3e} out of tolerance")
 
-def _eigenvector(
-    m: np.ndarray,
-    lam: complex,
-    scale: float,
-    taken: list[tuple[complex, np.ndarray]],
-) -> np.ndarray:
-    """Inverse iteration seeded by the adjugate of (M - lam I)."""
-    shifted = m - lam * np.eye(3)
-    adj = _adjugate3(shifted)
-    norms = np.linalg.norm(adj, axis=0)
-    candidates: list[np.ndarray] = []
-    if norms.max() > 1e-12 * max(scale, 1.0) ** 2:
-        candidates.append(adj[:, int(np.argmax(norms))])
-    candidates.extend(np.eye(3)[:, k] for k in range(3))
-    shift = 1e-9 * max(scale, 1.0)
-    # vectors claimed by a numerically equal eigenvalue; inverse iteration
-    # cannot separate those by the shift, so force a fresh direction
-    blocked = [
-        u for mu, u in taken if abs(mu - lam) <= 1e-8 * max(scale, 1.0)
-    ]
-    best: np.ndarray | None = None
-    best_res = math.inf
-    for b0 in candidates:
-        v = _inverse_iterate(m, lam, b0.astype(complex), shift)
-        if any(abs(np.vdot(u, v)) > 0.999 for u in blocked):
-            continue
-        res = np.linalg.norm(m @ v - lam * v)
-        if res < best_res:
-            best, best_res = v, res
-        if res <= _RESIDUAL_TOL * max(scale, 1.0):
-            return v
-    if best is None or best_res > 1e3 * _RESIDUAL_TOL * max(scale, 1.0):
+    if reference is None:
+        chain = raw
+        first = np.lexsort((lambdas[0].imag, lambdas[0].real))
+        phase0 = _top_phase(raw[0][:, first])
+    else:
+        chain = np.concatenate([reference[None], raw])
+        first, phase0 = np.arange(3), np.ones(3)
+    # overlaps[k, j, l] = <column j of step k, column l of step k + 1>; the best
+    # permutation of raw columns does not depend on the order chosen before
+    overlaps = np.einsum("kij,kil->kjl", chain[:-1].conj(), chain[1:])
+    scores = np.abs(overlaps)[:, np.arange(3), _PERMUTATIONS].sum(axis=2)
+    sigma = _PERMUTATIONS[scores.argmax(axis=1)]
+    matched = np.take_along_axis(overlaps, sigma[:, :, None], axis=2)[..., 0]
+    orders = [first.tolist()]
+    for step in sigma.tolist():
+        orders.append([step[j] for j in orders[-1]])
+    order = np.array(orders)
+    along = np.take_along_axis(matched, order[:-1], axis=1)
+    lost = np.abs(along) < 0.5
+    if lost.any():
+        k, i = np.argwhere(lost)[0]
+        raise SpectralError(f"continuity tracking lost mode {i}: overlap {abs(along[k, i]):.3f}")
+    phase = phase0 * np.cumprod(np.concatenate([np.ones((1, 3)), along.conj() / np.abs(along)]), axis=0)
+    phase /= np.abs(phase)  # keep the running product from drifting off the unit circle
+    if reference is not None:
+        order, phase = order[1:], phase[1:]
+
+    vectors = np.take_along_axis(raw, order[:, None, :], axis=2) * phase[:, None, :]
+    lambdas = np.take_along_axis(lambdas, order, axis=1)
+    try:
+        inverse = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        raise SpectralError("eigenvector matrix is numerically singular") from None
+    cond = np.linalg.norm(vectors, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+    bad = ~(cond <= _MAX_CONDITION)
+    if bad.any():
         raise SpectralError(
-            f"eigenvector residual {best_res:.3e} exceeds tolerance for lambda = {lam}"
+            f"eigenvector matrix has condition number {cond[bad][0]:.3e} > {_MAX_CONDITION:.0e}: "
+            "M is at or near an exceptional point"
         )
-    return best
+    return [Eigensystem(*fields) for fields in zip(lambdas, vectors, inverse)]
 
 
 def eigensystem(m: DynamicMatrix, reference: Eigensystem | None = None) -> Eigensystem:
     """Full eigensystem of M.
 
-    Without a reference the modes are ordered by ascending Re(lambda) and
-    each vector's phase is fixed so its largest-modulus component is real
-    and positive.  With a reference (a previous step of a time sweep) the
-    modes are matched to it by maximal overlap and the phases are aligned
-    to the reference gauge, which keeps U(t) differentiable along sweeps.
+    Without a reference the modes are ordered by ascending Re(lambda), then
+    Im(lambda), and each vector's phase is fixed so its largest-modulus
+    component is real and positive.  With a reference (a previous step of
+    a time sweep) the modes are matched to it by maximal overlap and the
+    phases are aligned to the reference gauge, which keeps U(t)
+    differentiable along sweeps.  Raises SpectralError when an overlap
+    falls below 0.5, an eigenpair residual exceeds 1e3 * _RESIDUAL_TOL
+    * max(||M||_F, 1), or U is singular or ill-conditioned (see module
+    docstring).
     """
-    mat = m.entries
-    scale = float(np.linalg.norm(mat))
-    lambdas = _cardano(*_char_coeffs(mat))
-    taken: list[tuple[complex, np.ndarray]] = []
-    vectors = []
-    for lam in lambdas:
-        v = _eigenvector(mat, lam, scale, taken)
-        taken.append((lam, v))
-        vectors.append(v)
-
-    order: Sequence[int]
-    if reference is None:
-        order = sorted(range(3), key=lambda i: (lambdas[i].real, lambdas[i].imag))
-        cols = [_fix_phase(vectors[i]) for i in order]
-    else:
-        best_perm, best_score = None, -1.0
-        for perm in permutations(range(3)):
-            score = sum(
-                abs(np.vdot(reference.vectors[:, i], vectors[perm[i]]))
-                for i in range(3)
-            )
-            if score > best_score:
-                best_perm, best_score = perm, score
-        order = list(best_perm)
-        cols = []
-        for i in range(3):
-            v = vectors[order[i]]
-            ov = np.vdot(reference.vectors[:, i], v)
-            if abs(ov) < 0.5:
-                raise SpectralError(
-                    f"continuity tracking lost mode {i}: overlap {abs(ov):.3f}"
-                )
-            cols.append(v * np.conj(ov / abs(ov)))
-
-    u = np.column_stack(cols)
-    lam_sorted = np.array([lambdas[i] for i in order])
-    det_u = _det3(u)
-    if abs(det_u) < 1e-12:
-        raise SpectralError("eigenvector matrix is numerically singular")
-    inv = _adjugate3(u) / det_u
-
-    for i in range(3):
-        res = np.linalg.norm(mat @ u[:, i] - lam_sorted[i] * u[:, i])
-        if res > 1e3 * _RESIDUAL_TOL * max(scale, 1.0):
-            raise SpectralError(f"eigenpair {i} residual {res:.3e} out of tolerance")
-    return Eigensystem(lambdas=lam_sorted, vectors=u, inverse=inv)
+    ref = None if reference is None else reference.vectors
+    return _tracked(m.entries[None], ref)[0]
 
 
 def eigensystem_sweep(
     params: SystemParams, schedule: CouplingSchedule, times: Sequence[float]
 ) -> list[Eigensystem]:
-    """Eigensystems along a schedule with continuity-tracked ordering."""
-    out: list[Eigensystem] = []
-    ref: Eigensystem | None = None
-    for t in times:
-        ref = eigensystem(dynamic_matrix_at(params, schedule, t), reference=ref)
-        out.append(ref)
-    return out
+    """Eigensystems along a schedule with continuity-tracked ordering.
+
+    Equal, up to rounding, to chaining eigensystem(M(t_k), reference=previous)
+    from an unreferenced first step, but computed as one batched LAPACK call.
+    """
+    if len(times) == 0:
+        return []
+    return _tracked(np.array([dynamic_matrix_at(params, schedule, t).entries for t in times]))
 
 
 def _ideal_dark_vector(g1: float, g2: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from omtransfer import gaussian
 from omtransfer.gaussian import (
     GaussianError,
     PhysicalityError,
@@ -364,3 +365,74 @@ def test_trajectory_csv_layout():
     assert len(header) == 16
     assert len(lines) - 1 == len(traj.states)
     assert text.endswith("\n")
+
+
+# -- non-finite moments and chunked validation -------------------------------
+
+@pytest.mark.parametrize("field", ["mean", "normal", "anomalous"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_moments_rejected(field, value):
+    moments = {"mean": np.zeros(3), "normal": np.eye(3) * 0.5, "anomalous": np.zeros((3, 3))}
+    moments[field] = np.array(moments[field], dtype=complex)
+    moments[field].flat[0] = value
+    with pytest.raises(GaussianError, match="moments must be finite"):
+        ThreeModeGaussianState(**moments)
+
+
+def test_integrate_batch_names_row_of_non_finite_moments():
+    good = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    bad = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    object.__setattr__(bad, "normal", np.full((3, 3), math.nan, dtype=complex))
+    p = SystemParams(kappa1=0.0, kappa2=0.0)
+    first_sample = 10 * (math.pi / 2) / 2000
+    with pytest.raises(GaussianError, match=rf"t = {first_sample:.6g}, row 1: moments must be finite"):
+        integrate_batch([good, bad, good], [p, p, p], FIG1, math.pi / 2)
+
+
+def _corrupt_samples(monkeypatch, faults):
+    """Make integrate's kernel yield sample k damaged by faults[k]; returns the sample times."""
+    kernel = gaussian._rk4_samples
+    times = []
+
+    def corrupted(*args):
+        for k, (t, mean, normal, anomalous) in enumerate(kernel(*args)):
+            times.append(t)
+            if k in faults:
+                mean, normal, anomalous = mean.copy(), normal.copy(), anomalous.copy()
+                faults[k](mean, normal, anomalous)
+            yield t, mean, normal, anomalous
+
+    monkeypatch.setattr(gaussian, "_rk4_samples", corrupted)
+    return times
+
+
+def _squeeze_too_far(mean, normal, anomalous):
+    anomalous[0, 0, 0] += 5.0  # |m|^2 far above n(n+1)
+
+
+def _not_finite(mean, normal, anomalous):
+    normal[0, 1, 1] = math.nan
+
+
+def _not_hermitian(mean, normal, anomalous):
+    normal[0, 0, 1] += 1.0
+
+
+@pytest.mark.parametrize(
+    "faults,error,message",
+    [
+        # sample 300 lies in the second chunk of 256 samples
+        ({300: _squeeze_too_far}, PhysicalityError, "uncertainty relation"),
+        ({300: _not_finite}, GaussianError, "moments must be finite"),
+        # later faults in the same chunk must not hide the first one
+        ({300: _squeeze_too_far, 310: _not_finite}, PhysicalityError, "uncertainty relation"),
+        ({300: _squeeze_too_far, 305: _not_hermitian}, PhysicalityError, "uncertainty relation"),
+    ],
+)
+def test_integrate_names_time_of_first_faulty_sample(monkeypatch, faults, error, message):
+    st0 = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    times = _corrupt_samples(monkeypatch, faults)
+    with pytest.raises(error, match=message) as info:
+        integrate(st0, SystemParams(kappa1=0.1, kappa2=0.0), FIG1, math.pi / 2, n_samples=1001)
+    assert info.value.args[0].startswith(f"physicality violation at t = {times[300]:.6g}: ")
+    assert len(times) > 310

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from omtransfer.model import ConstantCoupling, SystemParams, TrigSchedule, build_dynamic_matrix
+from omtransfer.model import TanhRampSchedule, dynamic_matrix_at
 from omtransfer.spectral import (
     SpectralError,
     adiabatic_correction_norm,
@@ -163,3 +165,69 @@ def test_correction_norm_interior_only():
         adiabatic_correction_norm(TrigSchedule(5.0, 1.0), p, 0.0)
     with pytest.raises(SpectralError):
         adiabatic_correction_norm(TrigSchedule(5.0, 1.0), p, 1.0)
+
+
+# -- LAPACK eigensolver: batched sweeps, exceptional points, properties ------
+
+@pytest.mark.parametrize(
+    "schedule",
+    [TrigSchedule(5.0, math.pi / 2), TanhRampSchedule(5.0, 5.0, 1.0, 10.0), ConstantCoupling(4.0, 3.0, 2.0)],
+    ids=["trig", "tanh", "constant"],
+)
+def test_sweep_equals_chained_eigensystem(schedule):
+    # the batched sweep against the per-point loop it replaces
+    p = SystemParams(kappa1=0.3, kappa2=0.1, gamma_m=0.01)
+    times = np.linspace(0.0, schedule.duration, 400)
+    swept = eigensystem_sweep(p, schedule, times)
+    assert len(swept) == times.size
+    ref = None
+    for t, got in zip(times, swept):
+        ref = eigensystem(dynamic_matrix_at(p, schedule, t), reference=ref)
+        assert_allclose(got.lambdas, ref.lambdas, rtol=0.0, atol=1e-12)
+        assert_allclose(got.vectors, ref.vectors, rtol=0.0, atol=1e-10)
+        assert_allclose(got.inverse, ref.inverse, rtol=0.0, atol=1e-10)
+    assert eigensystem_sweep(p, schedule, []) == []
+
+
+def test_exceptional_point_rejected_and_its_neighbours_resolved():
+    # kappa1 = 0.4, g2 = 0: the (a1, bm) pair has the exceptional point g1 = 0.1
+    p = SystemParams(kappa1=0.4, kappa2=0.0, gamma_m=0.0)
+    with pytest.raises(SpectralError, match="exceptional point"):
+        eigensystem(build_dynamic_matrix(p, 0.1, 0.0))
+    for g1 in (0.1 * (1.0 + 1e-9), 0.1 * (1.0 + 1e-4)):
+        es = checked_eigensystem(build_dynamic_matrix(p, g1, 0.0))
+        split = math.sqrt(g1 * g1 - 0.01)
+        assert_allclose(es.lambdas, [-split - 0.1j, 0.0, split - 0.1j], rtol=0.0, atol=1e-12)
+
+
+_rates = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _sweeps(draw):
+    params = SystemParams(kappa1=draw(_rates), kappa2=draw(_rates), gamma_m=draw(_rates))
+    g = draw(st.floats(2.0, 10.0))
+    if draw(st.booleans()):
+        schedule = TrigSchedule(g, draw(st.floats(0.5, 5.0)))
+    else:
+        duration = draw(st.floats(1.0, 20.0))
+        schedule = TanhRampSchedule(g, draw(st.floats(0.0, duration)), draw(st.floats(0.2, 5.0)), duration)
+    return params, schedule
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_sweeps())
+def test_sweep_properties(sweep):
+    params, schedule = sweep
+    times = np.linspace(0.0, schedule.duration, 200)
+    systems = eigensystem_sweep(params, schedule, times)
+    trace = -0.5j * (params.kappa1 + params.kappa2 + params.gamma_m)
+    for t, es in zip(times, systems):
+        m = dynamic_matrix_at(params, schedule, t).entries
+        scale = max(np.linalg.norm(m), 1.0)
+        residuals = np.linalg.norm(m @ es.vectors - es.vectors * es.lambdas, axis=0)
+        assert residuals.max() <= 1e-10 * scale
+        assert np.linalg.norm(es.vectors @ es.inverse - np.eye(3)) <= 1e-10
+        assert abs(es.lambdas.sum() - trace) <= 1e-12 * scale
+    for prev, cur in zip(systems, systems[1:]):
+        assert np.abs(np.einsum("ij,ij->j", prev.vectors.conj(), cur.vectors)).min() >= 0.5
