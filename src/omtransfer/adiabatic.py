@@ -24,6 +24,7 @@ lives in the ``gaussian`` module.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -124,18 +125,28 @@ def mean_transfer_amplitude(
     return cmath.exp(-f_integral(params, schedule, 0.0, T)) * alpha0
 
 
+@functools.lru_cache(maxsize=256)
+def _g0_min(schedule: CouplingSchedule, T: float) -> float:
+    """Minimum of g0 over the 1001-point interior grid of (0, T)."""
+    n_grid = 1001
+    g0_min = math.inf
+    for k in range(1, n_grid + 1):
+        g0_min = min(g0_min, schedule.g0(T * k / (n_grid + 1)))
+    return g0_min
+
+
 def fs_bound(params: SystemParams, schedule: CouplingSchedule, T: float) -> float:
     """Upper estimate of the mechanical-noise term fs.
 
     gamma_m (2 n_th + 1) T ((kappa1 - kappa2) / 4 g0_min)^2 with g0_min the
-    minimum of g0 over a 1001-point interior grid.  This is a bound-style
-    estimate, not an equality.
+    minimum of g0 over a 1001-point interior grid, cached per (schedule, T)
+    for hashable schedules, which must therefore not change after use.
+    This is a bound-style estimate, not an equality.
     """
-    n_grid = 1001
-    g0_min = math.inf
-    for k in range(1, n_grid + 1):
-        s = T * k / (n_grid + 1)
-        g0_min = min(g0_min, schedule.g0(s))
+    try:
+        g0_min = _g0_min(schedule, T)
+    except TypeError:  # an unhashable schedule cannot be a cache key
+        g0_min = _g0_min.__wrapped__(schedule, T)
     if g0_min == 0.0:
         raise AdiabaticError("g0 vanishes on the interior grid; fs bound undefined")
     return (

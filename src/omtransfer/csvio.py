@@ -3,6 +3,11 @@
 All CSV output uses comma delimiters, LF line endings, a header row, and
 floats rendered with 12 significant digits so identical inputs always
 produce byte-identical files.
+
+``build_csv`` takes either a 2-D float64 ``ndarray``, a whole numeric table
+formatted by one ``%`` with a ``%.12g`` template per cell, or any iterable of rows
+whose cells may mix floats, ints, bools and strings (blank analytic cells),
+formatted cell by cell with ``format_value``.  Equal floats give equal bytes.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import os
 import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = ["format_value", "build_csv", "write_atomic"]
 
@@ -25,10 +32,14 @@ def format_value(x) -> str:
     return str(x)
 
 
-def build_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def build_csv(header: Sequence[str], rows: Iterable[Sequence] | np.ndarray) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(x) for x in row))
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64 and len(rows):
+        # one % over the whole table: the row template repeated once per row
+        template = "\n".join([",".join(["%.12g"] * rows.shape[1])] * len(rows))
+        lines.append(template % tuple(rows.ravel().tolist()))
+    else:
+        lines += [",".join(map(format_value, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,6 @@ from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .csvio import build_csv
 from .model import CouplingSchedule, SystemParams
@@ -452,6 +451,12 @@ def _squeezed_thermal_split(s: SingleModeGaussian) -> tuple[float, float, comple
     return nbar, r, phase
 
 
+def _expm_antihermitian(g: np.ndarray) -> np.ndarray:
+    """exp(G) for anti-Hermitian G from one eigh of the Hermitian -iG: V e^{i lam} V^+."""
+    lam, v = np.linalg.eigh(-1j * g)
+    return (v * np.exp(1j * lam)) @ v.conj().T
+
+
 def _fock_density(s: SingleModeGaussian, cutoff: int) -> tuple[np.ndarray, float]:
     """Truncated density matrix in the number basis plus its trace deficit.
 
@@ -472,10 +477,12 @@ def _fock_density(s: SingleModeGaussian, cutoff: int) -> tuple[np.ndarray, float
     rho = np.diag(diag).astype(complex)
     if r > 0:
         eps = r * phase
-        squeeze = expm((np.conj(eps) * (lower @ lower) - eps * (raise_ @ raise_)) / 2.0)
+        squeeze = _expm_antihermitian(
+            (np.conj(eps) * (lower @ lower) - eps * (raise_ @ raise_)) / 2.0
+        )
         rho = squeeze @ rho @ squeeze.conj().T
     if s.mean != 0:
-        disp = expm(s.mean * raise_ - np.conj(s.mean) * lower)
+        disp = _expm_antihermitian(s.mean * raise_ - np.conj(s.mean) * lower)
         rho = disp @ rho @ disp.conj().T
     block = rho[:cutoff, :cutoff]
     deficit = abs(1.0 - float(np.trace(block).real))
@@ -521,19 +528,13 @@ def fock_oracle_fidelity(
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text: t, Re/Im of all means, N diagonal, Re/Im of the A diagonal."""
-    header = ["t"]
-    for name in ("a1", "bm", "a2"):
-        header += [f"re_{name}", f"im_{name}"]
-    header += ["n_a1", "n_bm", "n_a2"]
-    for name in ("a1", "bm", "a2"):
-        header += [f"re_m_{name}", f"im_m_{name}"]
-    rows = []
-    for t, st in zip(traj.times, traj.states):
-        row = [float(t)]
-        for i in range(3):
-            row += [float(st.mean[i].real), float(st.mean[i].imag)]
-        row += [float(st.normal[i, i].real) for i in range(3)]
-        for i in range(3):
-            row += [float(st.anomalous[i, i].real), float(st.anomalous[i, i].imag)]
-        rows.append(row)
-    return build_csv(header, rows)
+    modes = ("a1", "bm", "a2")
+    header = ["t"] + [f"{part}_{name}" for name in modes for part in ("re", "im")]
+    header += [f"n_{name}" for name in modes]
+    header += [f"{part}_m_{name}" for name in modes for part in ("re", "im")]
+    mean = np.array([st.mean for st in traj.states])
+    normal = np.array([st.normal.diagonal().real for st in traj.states])
+    anomalous = np.array([st.anomalous.diagonal() for st in traj.states])
+    # complex (S, 3) columns viewed as interleaved (re, im) pairs, the header's order
+    table = np.column_stack([traj.times, mean.view(float), normal, anomalous.view(float)])
+    return build_csv(header, table)

@@ -102,11 +102,6 @@ class SystemParams:
         """K = diag(kappa1, gamma_m, kappa2)."""
         return np.diag(self.damping_diagonal)
 
-    @property
-    def sqrt_damping(self) -> np.ndarray:
-        """sqrt(K) as a 3x3 diagonal matrix."""
-        return np.diag(np.sqrt(self.damping_diagonal))
-
 
 class CouplingSchedule:
     """Time-dependent coupling pair (g1(t), g2(t)) on [0, duration]."""

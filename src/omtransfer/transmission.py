@@ -41,6 +41,7 @@ from .model import (
     SystemParams,
     TanhRampSchedule,
     TrigSchedule,
+    build_dynamic_matrix,
 )
 
 __all__ = [
@@ -159,79 +160,49 @@ def gaussian_pulse(
     return Pulse(times=times, amplitudes=amps)
 
 
-def _char_coeffs(params: SystemParams, g1: float, g2: float) -> tuple[complex, complex, complex]:
-    """(b, c, d) of det(wI - M) = w^3 + b w^2 + c w + d."""
+def _t31_values(
+    params: SystemParams, g1: float, g2: float, omegas: np.ndarray
+) -> np.ndarray:
+    """T31 on a frequency grid via det(wI - M) = w^3 + b w^2 + c w + d in closed form."""
+    if params.kappa1 == 0.0 or params.kappa2 == 0.0:
+        return np.zeros_like(omegas, dtype=complex)
     d1, d2, dm = -0.5j * params.kappa1, -0.5j * params.kappa2, -0.5j * params.gamma_m
     b = -(d1 + dm + d2)
     c = d1 * dm + d1 * d2 + dm * d2 - g1 * g1 - g2 * g2
     d = -(d1 * dm * d2 - d1 * g2 * g2 - d2 * g1 * g1)
-    return b, c, d
-
-
-def _t31_values(
-    params: SystemParams, g1: float, g2: float, omegas: np.ndarray
-) -> np.ndarray:
-    """T31 on a frequency grid via the closed-form determinant."""
-    if params.kappa1 == 0.0 or params.kappa2 == 0.0:
-        return np.zeros_like(omegas, dtype=complex)
-    b, c, d = _char_coeffs(params, g1, g2)
     det = ((omegas + b) * omegas + c) * omegas + d
     return -1j * math.sqrt(params.kappa1 * params.kappa2) * g1 * g2 / det
+
+
+def _transfer_stack(params: SystemParams, g1: float, g2: float, omegas: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) stack of T(w) = I - i sqrt(K) (Iw - M)^{-1} sqrt(K); identity when K = 0."""
+    eye = np.eye(3, dtype=complex)
+    if params.kappa1 == params.kappa2 == params.gamma_m == 0.0:
+        return np.broadcast_to(eye, (omegas.size, 3, 3)).copy()
+    drift = build_dynamic_matrix(params, g1, g2)
+    m = omegas[:, None, None] * eye - drift.entries
+    singular = np.abs(np.linalg.det(m)) < 1e-300
+    if singular.any():
+        omega = float(omegas[np.argmax(singular)])
+        raise TransmissionError(f"(I w - M) is singular at omega = {omega}")
+    sqrt_k = np.sqrt(drift.damping)
+    resolvent_k = np.linalg.solve(m, np.broadcast_to(np.diag(sqrt_k), m.shape))
+    return eye - 1j * sqrt_k[:, None] * resolvent_k
 
 
 def transmission_matrix(
     params: SystemParams, g1: float, g2: float, omega: float
 ) -> np.ndarray:
-    """Exact T(omega) by closed-form 3x3 inversion; identity when K = 0."""
-    if params.kappa1 == params.kappa2 == params.gamma_m == 0.0:
-        return np.eye(3, dtype=complex)
-    m = np.array(
-        [
-            [omega + 0.5j * params.kappa1, -g1, 0.0],
-            [-g1, omega + 0.5j * params.gamma_m, -g2],
-            [0.0, -g2, omega + 0.5j * params.kappa2],
-        ],
-        dtype=complex,
-    )
-    det = (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-    if abs(det) < 1e-300:
-        raise TransmissionError(f"(I w - M) is singular at omega = {omega}")
-    adj = np.array(
-        [
-            [
-                m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
-                m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2],
-                m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1],
-            ],
-            [
-                m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2],
-                m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
-                m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2],
-            ],
-            [
-                m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0],
-                m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1],
-                m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0],
-            ],
-        ],
-        dtype=complex,
-    )
-    sqrt_k = params.sqrt_damping
-    return np.eye(3, dtype=complex) - 1j * sqrt_k @ (adj / det) @ sqrt_k
+    """Exact T(omega) by one LAPACK solve; identity when K = 0."""
+    return _transfer_stack(params, g1, g2, np.array([float(omega)]))[0]
 
 
 def transmission_spectrum(
     params: SystemParams, g1: float, g2: float, omegas: np.ndarray
 ) -> TransmissionSpectrum:
+    """T(w) on the sorted grid by one batched solve over all frequencies."""
     omegas = np.sort(np.asarray(omegas, dtype=float))
-    mats = np.empty((omegas.size, 3, 3), dtype=complex)
-    for i, w in enumerate(omegas):
-        mats[i] = transmission_matrix(params, g1, g2, w)
-    return TransmissionSpectrum(omegas=omegas, matrices=mats)
+    return TransmissionSpectrum(omegas=omegas, matrices=_transfer_stack(params, g1, g2, omegas))
 
 
 def t31_resonant(params: SystemParams, g1: float, g2: float) -> ResonantTransmission:
@@ -273,22 +244,17 @@ def half_width(params: SystemParams, g1: float, g2: float) -> tuple[float, float
     )
 
     target = 0.5 * abs(_t31_values(params, g1, g2, np.array([0.0]))[0])
+    f = lambda w: abs(_t31_values(params, g1, g2, np.array([w]))[0]) - target
     n_scan = 2048
     grid = g0 / 2.0 * np.arange(1, n_scan + 1) / n_scan
-    vals = np.abs(_t31_values(params, g1, g2, grid)) - target
-    crossing = None
-    prev_w, prev_v = 0.0, abs(_t31_values(params, g1, g2, np.array([0.0]))[0]) - target
-    for w, v in zip(grid, vals):
-        if prev_v > 0.0 >= v:
-            crossing = (prev_w, w)
-            break
-        prev_w, prev_v = w, v
-    if crossing is None:
+    ws = np.concatenate([[0.0], grid])
+    vals = np.concatenate([[f(0.0)], np.abs(_t31_values(params, g1, g2, grid)) - target])
+    crossings = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if crossings.size == 0:
         raise TransmissionError(
             "no half-width crossing in (0, g0/2]; outside the validity regime"
         )
-    lo, hi = crossing
-    f = lambda w: abs(_t31_values(params, g1, g2, np.array([w]))[0]) - target
+    lo, hi = ws[crossings[0]], ws[crossings[0] + 1]
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
@@ -490,24 +456,13 @@ def transmission_report(
 
 
 def pulse_to_csv(pulse: Pulse) -> str:
-    header = ["t", "re", "im", "abs"]
-    rows = [
-        [float(t), float(a.real), float(a.imag), float(abs(a))]
-        for t, a in zip(pulse.times, pulse.amplitudes)
-    ]
-    return build_csv(header, rows)
+    a = pulse.amplitudes
+    table = np.column_stack([pulse.times, a.real, a.imag, np.abs(a)])
+    return build_csv(["t", "re", "im", "abs"], table)
 
 
 def spectrum_to_csv(spec: TransmissionSpectrum) -> str:
-    header = ["omega"]
-    for i in range(1, 4):
-        for j in range(1, 4):
-            header += [f"re_t{i}{j}", f"im_t{i}{j}"]
-    rows = []
-    for w, mat in zip(spec.omegas, spec.matrices):
-        row = [float(w)]
-        for i in range(3):
-            for j in range(3):
-                row += [float(mat[i, j].real), float(mat[i, j].imag)]
-        rows.append(row)
-    return build_csv(header, rows)
+    header = ["omega"] + [f"{part}_t{i}{j}" for i in "123" for j in "123" for part in ("re", "im")]
+    # row-major T entries as interleaved (re, im) pairs, the header's order
+    entries = np.ascontiguousarray(spec.matrices, dtype=complex).reshape(-1, 9).view(float)
+    return build_csv(header, np.column_stack([spec.omegas, entries]))

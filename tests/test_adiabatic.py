@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -78,6 +79,43 @@ def test_fs_bound_values():
     assert got == pytest.approx(1.579e-4, rel=1e-3)
     cold = SystemParams(kappa1=1.0, kappa2=0.0, gamma_m=0.0, n_th=0.0)
     assert fs_bound(cold, sched, math.pi / 2) == 0.0
+
+
+_VALUES_CALLS = []
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountedRamp(TanhRampSchedule):
+    def values(self, t):
+        _VALUES_CALLS.append(t)
+        return super().values(t)
+
+
+class _UnhashableRamp(_CountedRamp):
+    __hash__ = None
+
+
+def test_fs_bound_evaluates_each_schedule_once():
+    p = SystemParams(kappa1=1.0, kappa2=0.2, gamma_m=2e-3, n_th=5.0)
+    ramp = _CountedRamp(4.0, 2.5, 0.7, 5.0)
+    _VALUES_CALLS.clear()
+    first = fs_bound(p, ramp, 5.0)
+    assert len(_VALUES_CALLS) == 1001
+    # an equal schedule and other damping rates reuse g0_min, bit for bit
+    again = fs_bound(p, _CountedRamp(4.0, 2.5, 0.7, 5.0), 5.0)
+    other = fs_bound(dataclasses.replace(p, n_th=1.0), ramp, 5.0)
+    assert len(_VALUES_CALLS) == 1001
+    assert again == first
+    assert other == pytest.approx(first * 3.0 / 11.0, rel=1e-14)
+    # another duration or schedule is a new grid
+    assert fs_bound(p, ramp, 4.0) != first
+    assert fs_bound(p, _CountedRamp(3.0, 2.5, 0.7, 5.0), 5.0) > first
+    assert len(_VALUES_CALLS) == 3 * 1001
+    # an unhashable schedule is evaluated on every call, with the same result
+    unhashable = _UnhashableRamp(4.0, 2.5, 0.7, 5.0)
+    assert fs_bound(p, unhashable, 5.0) == first
+    assert fs_bound(p, unhashable, 5.0) == first
+    assert len(_VALUES_CALLS) == 5 * 1001
 
 
 def test_analytic_fidelity_lossless():

@@ -1,13 +1,19 @@
-"""Golden record of the bundled Fig. 1 conversion scenarios.
+"""Golden record of the bundled Fig. 1 and Fig. 2 scenarios.
 
 tests/golden/ holds the CSVs that `omtransfer run` wrote for the four
 bundled `convert` configs before sweeps were integrated as one batch.  The
 header and the blank analytic cells must match exactly, numbers to 1e-12
 relative.
+
+It also holds every CSV of the bundled fig2a, fig2b and fig2cd configs,
+written before T(w) became one batched solve.  Headers and row counts must
+match exactly, numbers to 1e-11 relative or 1e-15 absolute: one flip in the
+12th printed digit, plus cancellation in the small T(w) entries.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from omtransfer.cli import main
@@ -32,3 +38,26 @@ def test_convert_scenario_matches_golden(name, tmp_path):
                 assert g == ""
             else:
                 assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)
+
+
+FIG2_FILES = {
+    "fig2a": [f"fig2a_{i:03d}.csv" for i in range(1, 5)],
+    "fig2b": [f"fig2b_{i:03d}_{io}.csv" for i in range(1, 6) for io in ("in", "out")]
+    + ["fig2b_summary.csv"],
+    "fig2cd": [f"fig2cd_{i:03d}_{io}.csv" for i in range(1, 3) for io in ("in", "out")]
+    + ["fig2cd_summary.csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIG2_FILES))
+def test_fig2_scenario_matches_golden(name, tmp_path):
+    assert main(["run", str(SCENARIO_DIR / f"{name}.cfg"), "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIG2_FILES[name])
+    for file in FIG2_FILES[name]:
+        got = (tmp_path / file).read_text(encoding="utf-8").splitlines()
+        want = (GOLDEN_DIR / file).read_text(encoding="utf-8").splitlines()
+        assert got[0] == want[0], file
+        assert len(got) == len(want), file
+        got_cells = np.array([line.split(",") for line in got[1:]], dtype=float)
+        want_cells = np.array([line.split(",") for line in want[1:]], dtype=float)
+        np.testing.assert_allclose(got_cells, want_cells, rtol=1e-11, atol=1e-15, err_msg=file)

@@ -310,3 +310,42 @@ def test_csv_exports():
     assert slines[0].startswith("omega,re_t11,im_t11")
     assert len(slines[0].split(",")) == 19
     assert len(slines) == 6
+
+
+def test_spectrum_matches_per_omega_generic_solve():
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        p = SystemParams(*rng.uniform(0.02, 1.5, size=3))
+        g1, g2 = rng.uniform(-4.0, 4.0, size=2)
+        omegas = rng.uniform(-6.0, 6.0, size=50)
+        spec = transmission_spectrum(p, g1, g2, omegas)
+        assert np.array_equal(spec.omegas, np.sort(omegas))
+        want = np.array([closed_form_t31(p, g1, g2, w) for w in spec.omegas])
+        assert np.abs(spec.matrices - want).max() <= 1e-13
+
+
+def test_spectrum_equals_matrix_per_omega():
+    p = fig2_params(0.064, 0.036)
+    omegas = np.linspace(-0.3, 0.3, 31)
+    spec = transmission_spectrum(p, 4.0, 3.0, omegas)
+    for w, mat in zip(spec.omegas, spec.matrices):
+        assert np.array_equal(mat, transmission_matrix(p, 4.0, 3.0, w))
+
+
+def test_spectrum_zero_damping_is_exact_identity():
+    p = SystemParams(kappa1=0.0, kappa2=0.0, gamma_m=0.0)
+    spec = transmission_spectrum(p, 4.0, 3.0, np.array([0.0, 2.0, -1.5]))
+    assert np.array_equal(spec.matrices, np.broadcast_to(np.eye(3), (3, 3, 3)))
+
+
+def test_lossless_dark_mode_is_singular_at_resonance():
+    # with kappa1 = kappa2 = 0 the dark mode g2 a1 - g1 a2 is an undamped
+    # eigenmode of M at frequency 0, so (I w - M) is exactly singular there
+    p = SystemParams(kappa1=0.0, kappa2=0.0, gamma_m=0.3)
+    with pytest.raises(TransmissionError, match="singular at omega = 0.0"):
+        transmission_matrix(p, 4.0, 3.0, 0.0)
+    with pytest.raises(TransmissionError, match="singular at omega = 0.0"):
+        transmission_spectrum(p, 4.0, 3.0, np.array([0.5, 0.0, -0.5]))
+    # away from resonance the same network transmits nothing between cavities
+    t = transmission_matrix(p, 4.0, 3.0, 0.5)
+    assert t[2, 0] == 0.0 and t[0, 0] == 1.0
