@@ -31,6 +31,7 @@ __all__ = [
     "PiecewiseLinearSchedule",
     "TanhRampSchedule",
     "DynamicMatrix",
+    "drift_stack",
     "build_dynamic_matrix",
     "dynamic_matrix_at",
     "coupling_at",
@@ -282,19 +283,25 @@ class DynamicMatrix:
         return np.diag(np.sqrt(self.damping))
 
 
+def drift_stack(damping, g1, g2) -> np.ndarray:
+    """Complex (..., 3, 3) stack of M; exact by construction.
+
+    damping (..., 3) holds (kappa1, gamma_m, kappa2); g1, g2 broadcast against its leading axes.
+    """
+    damping = np.asarray(damping)
+    m = np.zeros(np.broadcast(damping[..., 0], g1, g2).shape + (9,), complex)  # row-major 3x3
+    m[..., ::4] = -0.5j * damping
+    m[..., 1] = m[..., 3] = g1
+    m[..., 5] = m[..., 7] = g2
+    return m.reshape(m.shape[:-1] + (3, 3))
+
+
 def build_dynamic_matrix(
     params: SystemParams, g1: float, g2: float, time_tag: float = 0.0
 ) -> DynamicMatrix:
     """Assemble M for given couplings; exact by construction."""
-    m = np.array(
-        [
-            [-0.5j * params.kappa1, g1, 0.0],
-            [g1, -0.5j * params.gamma_m, g2],
-            [0.0, g2, -0.5j * params.kappa2],
-        ],
-        dtype=complex,
-    )
-    return DynamicMatrix(entries=m, damping=params.damping_diagonal, time_tag=time_tag)
+    damping = params.damping_diagonal
+    return DynamicMatrix(entries=drift_stack(damping, g1, g2), damping=damping, time_tag=time_tag)
 
 
 def dynamic_matrix_at(

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CouplingSchedule, DynamicMatrix, SystemParams, dynamic_matrix_at
+from .model import CouplingSchedule, DynamicMatrix, SystemParams, drift_stack, dynamic_matrix_at
 
 __all__ = [
     "Eigensystem",
@@ -170,7 +170,8 @@ def eigensystem_sweep(
     """
     if len(times) == 0:
         return []
-    return _tracked(np.array([dynamic_matrix_at(params, schedule, t).entries for t in times]))
+    g1, g2 = np.array([schedule.values(t) for t in times]).T
+    return _tracked(drift_stack(params.damping_diagonal, g1, g2))
 
 
 def _ideal_dark_vector(g1: float, g2: float) -> np.ndarray:

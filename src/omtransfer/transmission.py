@@ -42,6 +42,7 @@ from .model import (
     TanhRampSchedule,
     TrigSchedule,
     build_dynamic_matrix,
+    drift_stack,
 )
 
 __all__ = [
@@ -355,20 +356,6 @@ def _values_array(schedule: CouplingSchedule, ts: np.ndarray) -> tuple[np.ndarra
     return g1, g2
 
 
-def _drift_batch(
-    params: SystemParams, schedule: CouplingSchedule, ts: np.ndarray
-) -> np.ndarray:
-    """Stack of A(t) = -i M(t) for each time in ts."""
-    g1, g2 = _values_array(schedule, ts)
-    a = np.zeros((ts.size, 3, 3), dtype=complex)
-    a[:, 0, 0] = -0.5 * params.kappa1
-    a[:, 1, 1] = -0.5 * params.gamma_m
-    a[:, 2, 2] = -0.5 * params.kappa2
-    a[:, 0, 1] = a[:, 1, 0] = -1j * g1
-    a[:, 1, 2] = a[:, 2, 1] = -1j * g2
-    return a
-
-
 def transmit_pulse_time(
     p_in: Pulse, params: SystemParams, schedule: CouplingSchedule
 ) -> Pulse:
@@ -404,6 +391,7 @@ def transmit_pulse_time(
         return np.interp(ts, t_grid, re) + 1j * np.interp(ts, t_grid, im)
 
     drive = math.sqrt(params.kappa1)
+    damping = params.damping_diagonal
     starts = t_grid[:-1]
 
     # fold the n_sub RK4 substeps of every interval into one affine update
@@ -412,9 +400,9 @@ def transmit_pulse_time(
     acc = np.zeros((n_int, 3), dtype=complex)
     for j in range(n_sub):
         t0 = starts + j * h
-        a_n = _drift_batch(params, schedule, t0)
-        a_h = _drift_batch(params, schedule, t0 + 0.5 * h)
-        a_f = _drift_batch(params, schedule, t0 + h)
+        # A(t) = -i M(t) at the substep's three RK4 stage times
+        m = [drift_stack(damping, *_values_array(schedule, t)) for t in (t0, t0 + 0.5 * h, t0 + h)]
+        a_n, a_h, a_f = (np.multiply(-1j, a, out=a) for a in m)
         u_n = drive * u_at(t0)
         u_h = drive * u_at(t0 + 0.5 * h)
         u_f = drive * u_at(t0 + h)
