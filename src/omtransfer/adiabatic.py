@@ -24,10 +24,11 @@ lives in the ``gaussian`` module.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import CouplingSchedule, SystemParams
 
@@ -64,12 +65,17 @@ class TransferReport:
     f2_approximate: bool = False
 
 
-def _decay_rate(params: SystemParams, schedule: CouplingSchedule, t: float) -> float:
+def _decay_rate(params: SystemParams, schedule: CouplingSchedule, t: np.ndarray) -> np.ndarray:
     g1, g2 = schedule.values(t)
     g0sq = g1 * g1 + g2 * g2
-    if g0sq == 0.0:
-        raise AdiabaticError(f"g0 vanishes at t = {t}; decay integrand undefined")
+    vanishes = g0sq == 0.0
+    if vanishes.any():
+        raise AdiabaticError(f"g0 vanishes at t = {t[vanishes][0]}; decay integrand undefined")
     return (params.kappa2 * g1 * g1 + params.kappa1 * g2 * g2) / (2.0 * g0sq)
+
+
+def _simpson(a, fa, m, fm, b, fb):
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
 def f_integral(
@@ -79,40 +85,46 @@ def f_integral(
     T: float,
     tol: float = 1e-10,
 ) -> float:
-    """Dark-mode decay exponent f(t,T) by adaptive Simpson quadrature."""
+    """Dark-mode decay exponent f(t,T) by adaptive Simpson quadrature.
+
+    A panel is accepted when its two halves' Simpson sum is within 15 eps of
+    its own, with eps = tol / 2^level, and halved otherwise.  All open panels
+    of one level are evaluated in one schedule call, and the accepted values
+    are summed pairwise back up the panel tree, in the recursive rule's order.
+    """
     if t > T:
         raise AdiabaticError(f"need t <= T, got t = {t}, T = {T}")
     if t == T:
         return 0.0
 
-    func = lambda s: _decay_rate(params, schedule, s)
-    panels = 0
-
-    def simpson(a: float, fa: float, m: float, fm: float, b: float, fb: float) -> float:
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, m, fm, b, fb, whole, eps):
-        nonlocal panels
-        panels += 1
-        if panels > _MAX_PANELS:
+    m = 0.5 * (t + T)
+    fa, fm, fb = _decay_rate(params, schedule, np.array([t, m, T]))
+    # one column per open panel: a, f(a), m, f(m), b, f(b) and its Simpson estimate
+    panels = np.array([[t], [fa], [m], [fm], [T], [fb], [_simpson(t, fa, m, fm, T, fb)]])
+    eps, count, levels = tol, 0, []
+    while panels.size:
+        count += panels.shape[1]
+        if count > _MAX_PANELS:
             raise AdiabaticError(
                 f"adaptive Simpson did not converge within {_MAX_PANELS} panels"
             )
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = func(lm), func(rm)
-        left = simpson(a, fa, lm, flm, m, fm)
-        right = simpson(m, fm, rm, frm, b, fb)
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, fa, lm, flm, m, fm, left, eps / 2.0) + recurse(
-            m, fm, rm, frm, b, fb, right, eps / 2.0
-        )
-
-    fa, fb = func(t), func(T)
-    m = 0.5 * (t + T)
-    fm = func(m)
-    return recurse(t, fa, m, fm, T, fb, simpson(t, fa, m, fm, T, fb), tol)
+        a, fa, m, fm, b, fb, whole = panels
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = _decay_rate(params, schedule, np.array([lm, rm]))
+        left = _simpson(a, fa, lm, flm, m, fm)
+        right = _simpson(m, fm, rm, frm, b, fb)
+        pair = left + right
+        accepted = np.abs(pair - whole) <= 15.0 * eps
+        levels.append((accepted, pair + (pair - whole) / 15.0))
+        # each split panel's left then right half, in panel order
+        halves = np.array([[a, fa, lm, flm, m, fm, left], [m, fm, rm, frm, b, fb, right]])
+        panels = halves[:, :, ~accepted].transpose(1, 2, 0).reshape(7, -1)
+        eps /= 2.0
+    total = np.empty(0)
+    for accepted, value in reversed(levels):
+        value[~accepted] = total[0::2] + total[1::2]
+        total = value
+    return float(total[0])
 
 
 def mean_transfer_amplitude(
@@ -125,28 +137,15 @@ def mean_transfer_amplitude(
     return cmath.exp(-f_integral(params, schedule, 0.0, T)) * alpha0
 
 
-@functools.lru_cache(maxsize=256)
-def _g0_min(schedule: CouplingSchedule, T: float) -> float:
-    """Minimum of g0 over the 1001-point interior grid of (0, T)."""
-    n_grid = 1001
-    g0_min = math.inf
-    for k in range(1, n_grid + 1):
-        g0_min = min(g0_min, schedule.g0(T * k / (n_grid + 1)))
-    return g0_min
-
-
 def fs_bound(params: SystemParams, schedule: CouplingSchedule, T: float) -> float:
     """Upper estimate of the mechanical-noise term fs.
 
     gamma_m (2 n_th + 1) T ((kappa1 - kappa2) / 4 g0_min)^2 with g0_min the
-    minimum of g0 over a 1001-point interior grid, cached per (schedule, T)
-    for hashable schedules, which must therefore not change after use.
-    This is a bound-style estimate, not an equality.
+    minimum of g0 over a 1001-point interior grid of (0, T), evaluated in
+    one schedule call.  This is a bound-style estimate, not an equality.
     """
-    try:
-        g0_min = _g0_min(schedule, T)
-    except TypeError:  # an unhashable schedule cannot be a cache key
-        g0_min = _g0_min.__wrapped__(schedule, T)
+    n_grid = 1001
+    g0_min = float(schedule.g0(T * np.arange(1, n_grid + 1) / (n_grid + 1)).min())
     if g0_min == 0.0:
         raise AdiabaticError("g0 vanishes on the interior grid; fs bound undefined")
     return (

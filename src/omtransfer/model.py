@@ -105,25 +105,33 @@ class SystemParams:
 
 
 class CouplingSchedule:
-    """Time-dependent coupling pair (g1(t), g2(t)) on [0, duration]."""
+    """Time-dependent coupling pair (g1(t), g2(t)) on [0, duration].
+
+    values, derivatives and g0 take a 0-d or n-d float t and return arrays
+    of its shape; subclasses write one numpy formula that serves both.
+    Every time must lie in [0, duration], or ModelError names the first one
+    outside it (NaN included).
+    """
 
     duration: float
 
-    def values(self, t: float) -> tuple[float, float]:
+    def values(self, t) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def derivatives(self, t: float) -> tuple[float, float]:
+    def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _check_domain(self, t: float) -> None:
-        if not (0.0 <= t <= self.duration):
+    def _check_domain(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        outside = ~((t >= 0.0) & (t <= self.duration))
+        if outside.any():
             raise ModelError(
-                f"time {t} outside the schedule domain [0, {self.duration}]"
+                f"time {t[outside][0]} outside the schedule domain [0, {self.duration}]"
             )
+        return t
 
-    def g0(self, t: float) -> float:
-        g1, g2 = self.values(t)
-        return math.hypot(g1, g2)
+    def g0(self, t) -> np.ndarray:
+        return np.hypot(*self.values(t))
 
 
 @dataclass(frozen=True)
@@ -134,13 +142,13 @@ class ConstantCoupling(CouplingSchedule):
     g2: float
     duration: float = math.inf
 
-    def values(self, t: float) -> tuple[float, float]:
-        self._check_domain(t)
-        return self.g1, self.g2
+    def values(self, t) -> tuple[np.ndarray, np.ndarray]:
+        t = self._check_domain(t)
+        return np.full_like(t, self.g1), np.full_like(t, self.g2)
 
-    def derivatives(self, t: float) -> tuple[float, float]:
-        self._check_domain(t)
-        return 0.0, 0.0
+    def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
+        t = self._check_domain(t)
+        return np.zeros_like(t), np.zeros_like(t)
 
 
 @dataclass(frozen=True)
@@ -165,16 +173,14 @@ class TrigSchedule(CouplingSchedule):
     def _rate(self) -> float:
         return math.pi / (2.0 * self.duration)
 
-    def values(self, t: float) -> tuple[float, float]:
-        self._check_domain(t)
-        th = self._rate * t
-        return self.amplitude * math.sin(th), -self.amplitude * math.cos(th)
+    def values(self, t) -> tuple[np.ndarray, np.ndarray]:
+        th = self._rate * self._check_domain(t)
+        return self.amplitude * np.sin(th), -self.amplitude * np.cos(th)
 
-    def derivatives(self, t: float) -> tuple[float, float]:
-        self._check_domain(t)
-        th = self._rate * t
+    def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
+        th = self._rate * self._check_domain(t)
         w = self.amplitude * self._rate
-        return w * math.cos(th), w * math.sin(th)
+        return w * np.cos(th), w * np.sin(th)
 
 
 @dataclass(frozen=True)
@@ -197,30 +203,16 @@ class PiecewiseLinearSchedule(CouplingSchedule):
             raise ModelError("breakpoint times must be strictly increasing")
         object.__setattr__(self, "duration", self.times[-1])
 
-    def _segment(self, t: float) -> int:
-        # right-open segments except the last; breakpoints take the
-        # right-hand slope, t = duration the left-hand one
-        for k in range(len(self.times) - 1):
-            if t < self.times[k + 1]:
-                return k
-        return len(self.times) - 2
+    def values(self, t) -> tuple[np.ndarray, np.ndarray]:
+        t = self._check_domain(t)
+        return np.interp(t, self.times, self.g1_values), np.interp(t, self.times, self.g2_values)
 
-    def values(self, t: float) -> tuple[float, float]:
-        self._check_domain(t)
-        k = self._segment(t)
-        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-        g1 = self.g1_values[k] + w * (self.g1_values[k + 1] - self.g1_values[k])
-        g2 = self.g2_values[k] + w * (self.g2_values[k + 1] - self.g2_values[k])
-        return g1, g2
-
-    def derivatives(self, t: float) -> tuple[float, float]:
-        self._check_domain(t)
-        k = self._segment(t)
-        dt = self.times[k + 1] - self.times[k]
-        return (
-            (self.g1_values[k + 1] - self.g1_values[k]) / dt,
-            (self.g2_values[k + 1] - self.g2_values[k]) / dt,
-        )
+    def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
+        # breakpoints take the right-hand slope, t = duration the left-hand one
+        k = np.searchsorted(self.times, self._check_domain(t), side="right")
+        k = np.minimum(k, len(self.times) - 1) - 1
+        slopes = np.diff([self.g1_values, self.g2_values]) / np.diff(self.times)
+        return slopes[0][k], slopes[1][k]
 
 
 @dataclass(frozen=True)
@@ -243,14 +235,13 @@ class TanhRampSchedule(CouplingSchedule):
         if self.g_max <= 0 or self.width <= 0 or self.duration <= 0:
             raise ModelError("TanhRampSchedule requires positive g_max, width, duration")
 
-    def values(self, t: float) -> tuple[float, float]:
-        self._check_domain(t)
-        s = math.tanh((t - self.center) / self.width)
+    def values(self, t) -> tuple[np.ndarray, np.ndarray]:
+        s = np.tanh((self._check_domain(t) - self.center) / self.width)
         return 0.5 * self.g_max * (1.0 + s), -0.5 * self.g_max * (1.0 - s)
 
-    def derivatives(self, t: float) -> tuple[float, float]:
-        self._check_domain(t)
-        d = 0.5 * self.g_max / (self.width * math.cosh((t - self.center) / self.width) ** 2)
+    def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
+        x = (self._check_domain(t) - self.center) / self.width
+        d = 0.5 * self.g_max / (self.width * np.cosh(x) ** 2)
         return d, d
 
 
@@ -312,10 +303,8 @@ def dynamic_matrix_at(
     return build_dynamic_matrix(params, g1, g2, time_tag=t)
 
 
-def coupling_at(
-    schedule: CouplingSchedule, t: float
-) -> tuple[float, float, float, float]:
-    """(g1, g2, dg1/dt, dg2/dt) at time t; raises outside [0, duration]."""
+def coupling_at(schedule: CouplingSchedule, t) -> tuple[np.ndarray, ...]:
+    """(g1, g2, dg1/dt, dg2/dt) at the time(s) t; raises outside [0, duration]."""
     g1, g2 = schedule.values(t)
     d1, d2 = schedule.derivatives(t)
     return g1, g2, d1, d2
@@ -331,12 +320,10 @@ def adiabaticity(schedule: CouplingSchedule, n_samples: int = 1001) -> float:
     if n_samples < 1:
         raise ModelError("n_samples must be positive")
     span = schedule.duration if math.isfinite(schedule.duration) else 1.0
-    worst = 0.0
-    for k in range(1, n_samples + 1):
-        t = span * k / (n_samples + 1)
-        g1, g2, d1, d2 = coupling_at(schedule, t)
-        g0sq = g1 * g1 + g2 * g2
-        if g0sq == 0.0:
-            raise ModelError(f"g0 vanishes at interior time t = {t}")
-        worst = max(worst, max(abs(d1), abs(d2)) / g0sq)
-    return worst
+    t = span * np.arange(1, n_samples + 1) / (n_samples + 1)
+    g1, g2, d1, d2 = coupling_at(schedule, t)
+    g0sq = g1 * g1 + g2 * g2
+    vanishes = g0sq == 0.0
+    if vanishes.any():
+        raise ModelError(f"g0 vanishes at interior time t = {t[vanishes][0]}")
+    return float((np.maximum(np.abs(d1), np.abs(d2)) / g0sq).max())

@@ -170,7 +170,7 @@ def eigensystem_sweep(
     """
     if len(times) == 0:
         return []
-    g1, g2 = np.array([schedule.values(t) for t in times]).T
+    g1, g2 = schedule.values(np.asarray(times, dtype=float))
     return _tracked(drift_stack(params.damping_diagonal, g1, g2))
 
 

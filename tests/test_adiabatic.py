@@ -2,8 +2,11 @@ import dataclasses
 import math
 import warnings
 
+import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
+from omtransfer import adiabatic
 from omtransfer.adiabatic import (
     AdiabaticError,
     analytic_fidelity,
@@ -18,7 +21,7 @@ from omtransfer.gaussian import (
     make_squeezed_coherent,
     reduce_to_mode,
 )
-from omtransfer.model import SystemParams, TanhRampSchedule, TrigSchedule
+from omtransfer.model import PiecewiseLinearSchedule, SystemParams, TanhRampSchedule, TrigSchedule
 
 FIG1 = TrigSchedule(5.0, math.pi / 2)
 
@@ -45,6 +48,92 @@ def test_f_integral_equal_kappas_collapses(sched, T):
     # integrand reduces to kappa/2 whenever kappa1 = kappa2, for any schedule
     p = SystemParams(kappa1=0.3, kappa2=0.3)
     assert f_integral(p, sched, 0.0, T) == pytest.approx(0.3 * T / 2, abs=1e-9)
+
+
+# -- frozen reference: the recursive adaptive Simpson the level-order rule replaced --
+
+def _reference_f_integral(params, schedule, t, T, tol=1e-10, max_panels=2**20):
+    """(f(t,T), panel count) by the old one-node-per-call recursion."""
+
+    def func(s):
+        g1, g2 = schedule.values(s)
+        g0sq = g1 * g1 + g2 * g2
+        return (params.kappa2 * g1 * g1 + params.kappa1 * g2 * g2) / (2.0 * g0sq)
+
+    panels = 0
+
+    def simpson(a, fa, m, fm, b, fb):
+        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(a, fa, m, fm, b, fb, whole, eps):
+        nonlocal panels
+        panels += 1
+        if panels > max_panels:
+            raise AdiabaticError("panel cap exceeded")
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = func(lm), func(rm)
+        left = simpson(a, fa, lm, flm, m, fm)
+        right = simpson(m, fm, rm, frm, b, fb)
+        if abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return recurse(a, fa, lm, flm, m, fm, left, eps / 2.0) + recurse(
+            m, fm, rm, frm, b, fb, right, eps / 2.0
+        )
+
+    fa, fb = func(t), func(T)
+    m = 0.5 * (t + T)
+    fm = func(m)
+    value = recurse(t, fa, m, fm, T, fb, simpson(t, fa, m, fm, T, fb), tol)
+    return value, panels
+
+
+def _random_case(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        sched = TrigSchedule(rng.uniform(0.5, 10.0), rng.uniform(0.5, 10.0))
+    elif kind == 1:
+        duration = rng.uniform(1.0, 20.0)
+        sched = TanhRampSchedule(rng.uniform(0.5, 10.0), rng.uniform(0.0, duration), rng.uniform(0.1, 4.0), duration)
+    else:
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 3.0, rng.integers(1, 6)))])
+        g1 = rng.uniform(0.2, 5.0, times.size) * rng.choice([-1.0, 1.0])
+        sched = PiecewiseLinearSchedule(tuple(times), tuple(g1), tuple(rng.uniform(-5.0, 5.0, times.size)))
+    params = SystemParams(kappa1=rng.uniform(0.0, 1.0), kappa2=rng.uniform(0.0, 1.0))
+    t, T = np.sort(rng.uniform(0.0, sched.duration, 2))
+    if rng.random() < 0.5:
+        t, T = 0.0, sched.duration
+    tol = 10.0 ** rng.uniform(-13.0, -6.0)
+    return params, sched, float(t), float(T), tol
+
+
+def test_f_integral_matches_recursive_reference():
+    rng = np.random.default_rng(20110)
+    kinds = set()
+    for _ in range(150):
+        params, sched, t, T, tol = _random_case(rng)
+        kinds.add(type(sched))
+        want, _ = _reference_f_integral(params, sched, t, T, tol)
+        got = f_integral(params, sched, t, T, tol)
+        assert abs(got - want) <= 1e-15 * abs(want)
+    assert len(kinds) == 3
+
+
+def test_f_integral_panel_cap(monkeypatch):
+    # the cap counts panels as the recursion did: exactly enough converges, one fewer raises
+    p = SystemParams(kappa1=0.7, kappa2=0.1)
+    ramp = TanhRampSchedule(g_max=5.0, center=1.3, width=0.4, duration=4.0)
+    want, panels = _reference_f_integral(p, ramp, 0.0, 4.0)
+    assert panels > 100
+    monkeypatch.setattr(adiabatic, "_MAX_PANELS", panels)
+    assert f_integral(p, ramp, 0.0, 4.0) == pytest.approx(want, rel=1e-15)
+    monkeypatch.setattr(adiabatic, "_MAX_PANELS", panels - 1)
+    with pytest.raises(AdiabaticError, match=f"did not converge within {panels - 1} panels"):
+        f_integral(p, ramp, 0.0, 4.0)
+    # an unreachable tolerance never accepts a panel and stops at the cap
+    monkeypatch.setattr(adiabatic, "_MAX_PANELS", 4095)
+    with pytest.raises(AdiabaticError, match="did not converge"):
+        f_integral(p, ramp, 0.0, 4.0, tol=-1.0)
 
 
 def test_f_integral_partial_interval():
@@ -87,35 +176,29 @@ _VALUES_CALLS = []
 @dataclasses.dataclass(frozen=True)
 class _CountedRamp(TanhRampSchedule):
     def values(self, t):
-        _VALUES_CALLS.append(t)
+        _VALUES_CALLS.append(np.array(t))
         return super().values(t)
 
 
-class _UnhashableRamp(_CountedRamp):
-    __hash__ = None
-
-
-def test_fs_bound_evaluates_each_schedule_once():
+@pytest.mark.parametrize(
+    "sched,T",
+    [
+        (TrigSchedule(3.0, 2.0), 2.0),
+        (TanhRampSchedule(4.0, 2.5, 0.7, 5.0), 5.0),
+        (TanhRampSchedule(4.0, 2.5, 0.7, 5.0), 4.0),
+        (PiecewiseLinearSchedule((0.0, 1.0, 3.0), (0.5, 2.0, 3.0), (-3.0, -1.0, -0.2)), 3.0),
+    ],
+)
+def test_fs_bound_takes_g0_min_of_one_grid_call(sched, T):
     p = SystemParams(kappa1=1.0, kappa2=0.2, gamma_m=2e-3, n_th=5.0)
-    ramp = _CountedRamp(4.0, 2.5, 0.7, 5.0)
+    counted = _CountedRamp(4.0, 2.5, 0.7, 5.0)
     _VALUES_CALLS.clear()
-    first = fs_bound(p, ramp, 5.0)
-    assert len(_VALUES_CALLS) == 1001
-    # an equal schedule and other damping rates reuse g0_min, bit for bit
-    again = fs_bound(p, _CountedRamp(4.0, 2.5, 0.7, 5.0), 5.0)
-    other = fs_bound(dataclasses.replace(p, n_th=1.0), ramp, 5.0)
-    assert len(_VALUES_CALLS) == 1001
-    assert again == first
-    assert other == pytest.approx(first * 3.0 / 11.0, rel=1e-14)
-    # another duration or schedule is a new grid
-    assert fs_bound(p, ramp, 4.0) != first
-    assert fs_bound(p, _CountedRamp(3.0, 2.5, 0.7, 5.0), 5.0) > first
-    assert len(_VALUES_CALLS) == 3 * 1001
-    # an unhashable schedule is evaluated on every call, with the same result
-    unhashable = _UnhashableRamp(4.0, 2.5, 0.7, 5.0)
-    assert fs_bound(p, unhashable, 5.0) == first
-    assert fs_bound(p, unhashable, 5.0) == first
-    assert len(_VALUES_CALLS) == 5 * 1001
+    fs_bound(p, counted, 5.0)
+    assert len(_VALUES_CALLS) == 1 and _VALUES_CALLS[0].shape == (1001,)
+    assert_array_equal(_VALUES_CALLS[0], [5.0 * k / 1002 for k in range(1, 1002)])
+    g0_min = min(sched.g0(T * k / 1002) for k in range(1, 1002))
+    expected = 2e-3 * 11.0 * T * (0.8 / (4.0 * g0_min)) ** 2
+    assert fs_bound(p, sched, T) == expected
 
 
 def test_analytic_fidelity_lossless():

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import omtransfer
 from omtransfer.cli import main
 from omtransfer.config import (
     ConfigError,
@@ -276,3 +280,12 @@ def test_bundled_scenarios_complete_quickly(name, tmp_path):
     artifacts = run_scenario(cfg, out_dir=tmp_path)
     assert time.perf_counter() - start < 60.0
     assert artifacts.files
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; importing it would cost every start-up about 0.15 s
+    src = str(Path(omtransfer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, omtransfer, omtransfer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -309,6 +309,23 @@ def test_uncertainty_test_matches_quadrature_covariance():
     assert outcomes == {True, False}
 
 
+def test_nearly_hermitian_input_is_symmetrized_once():
+    # a residue inside the validator's 1e-8 tolerance: anti-Hermitian in N, antisymmetric in A
+    clean = embed_initial(make_squeezed_coherent(0.7 - 0.2j, 0.4, 0.3), 1.5)
+    skew = np.array([[0.0, 1.0 + 2.0j, -0.5j], [-1.0 + 2.0j, 3.0j, 0.25], [-0.5j, -0.25, 0.0]])
+    assert np.array_equal(skew, -skew.conj().T)
+    twist = np.array([[0.0, 1.0j, 2.0], [-1.0j, 0.0, -0.5], [-2.0, 0.5, 0.0]])
+    nearly = ThreeModeGaussianState(clean.mean, clean.normal + 1e-9 * skew, clean.anomalous + 1e-9 * twist)
+    p = SystemParams(kappa1=0.3, kappa2=0.1, gamma_m=2e-3, n_th=4.0)
+    got = integrate(nearly, p, FIG1, FIG1.duration, n_samples=11)
+    want = integrate(clean, p, FIG1, FIG1.duration, n_samples=11)
+    for st, ref in zip(got.states[1:], want.states[1:]):
+        assert np.array_equal(st.normal, st.normal.conj().T)
+        assert np.array_equal(st.anomalous, st.anomalous.T)
+        assert_allclose(st.normal, ref.normal, rtol=0.0, atol=1e-12)
+        assert_allclose(st.anomalous, ref.anomalous, rtol=0.0, atol=1e-12)
+
+
 def test_integrate_batch_bitwise_equal_to_serial():
     coherent = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
     squeezed = embed_initial(make_squeezed_coherent(1.0, 0.4, 0.3), 1.5)

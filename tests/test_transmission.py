@@ -256,6 +256,16 @@ def test_step_schedule_reduces_output_energy():
     assert pulse_energy(gated) > 0.0
 
 
+def test_schedule_ending_at_the_last_sample_is_accepted():
+    # at sigma 0.15 the last substep's end time rounds to one ulp past t_end
+    params = fig2_params(0.064, 0.032)
+    p_in = gaussian_pulse(0.15, n_points=1024)
+    exact = ConstantCoupling(4.0, 3.0, duration=float(p_in.times[-1]))
+    out = transmit_pulse_time(p_in, params, exact)
+    unbounded = transmit_pulse_time(p_in, params, ConstantCoupling(4.0, 3.0))
+    assert out.amplitudes.tobytes() == unbounded.amplitudes.tobytes()
+
+
 def test_schedule_domain_mismatch():
     params = fig2_params(0.064, 0.032)
     p_in = gaussian_pulse(0.2, n_points=1024)
