@@ -78,6 +78,30 @@ def _simpson(a, fa, m, fm, b, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
+def _refine(params, schedule, panels: np.ndarray, eps: float, budget: int):
+    """One level of f_integral: (accepted mask, Richardson value, halves of split panels).
+
+    halves holds each split panel's left then right half, in panel order; more
+    than budget of them raise before they are built.  Returning frees the
+    level's temporaries before the next level is evaluated.
+    """
+    a, fa, m, fm, b, fb, whole = panels
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = _decay_rate(params, schedule, np.array([lm, rm]))
+    left = _simpson(a, fa, lm, flm, m, fm)
+    right = _simpson(m, fm, rm, frm, b, fb)
+    pair = left + right
+    accepted = np.abs(pair - whole) <= 15.0 * eps
+    split = ~accepted
+    n_split = int(np.count_nonzero(split))
+    if 2 * n_split > budget:
+        raise AdiabaticError(f"adaptive Simpson did not converge within {_MAX_PANELS} panels")
+    halves = np.empty((7, n_split, 2))
+    halves[..., 0] = [x[split] for x in (a, fa, lm, flm, m, fm, left)]
+    halves[..., 1] = [x[split] for x in (m, fm, rm, frm, b, fb, right)]
+    return accepted, pair + (pair - whole) / 15.0, halves.reshape(7, -1)
+
+
 def f_integral(
     params: SystemParams,
     schedule: CouplingSchedule,
@@ -91,6 +115,8 @@ def f_integral(
     its own, with eps = tol / 2^level, and halved otherwise.  All open panels
     of one level are evaluated in one schedule call, and the accepted values
     are summed pairwise back up the panel tree, in the recursive rule's order.
+    At most _MAX_PANELS panels are made, and a level that would pass the cap
+    raises before its halves are built.
     """
     if t > T:
         raise AdiabaticError(f"need t <= T, got t = {t}, T = {T}")
@@ -101,24 +127,11 @@ def f_integral(
     fa, fm, fb = _decay_rate(params, schedule, np.array([t, m, T]))
     # one column per open panel: a, f(a), m, f(m), b, f(b) and its Simpson estimate
     panels = np.array([[t], [fa], [m], [fm], [T], [fb], [_simpson(t, fa, m, fm, T, fb)]])
-    eps, count, levels = tol, 0, []
+    eps, count, levels = tol, 1, []
     while panels.size:
+        accepted, value, panels = _refine(params, schedule, panels, eps, _MAX_PANELS - count)
+        levels.append((accepted, value))
         count += panels.shape[1]
-        if count > _MAX_PANELS:
-            raise AdiabaticError(
-                f"adaptive Simpson did not converge within {_MAX_PANELS} panels"
-            )
-        a, fa, m, fm, b, fb, whole = panels
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = _decay_rate(params, schedule, np.array([lm, rm]))
-        left = _simpson(a, fa, lm, flm, m, fm)
-        right = _simpson(m, fm, rm, frm, b, fb)
-        pair = left + right
-        accepted = np.abs(pair - whole) <= 15.0 * eps
-        levels.append((accepted, pair + (pair - whole) / 15.0))
-        # each split panel's left then right half, in panel order
-        halves = np.array([[a, fa, lm, flm, m, fm, left], [m, fm, rm, frm, b, fb, right]])
-        panels = halves[:, :, ~accepted].transpose(1, 2, 0).reshape(7, -1)
         eps /= 2.0
     total = np.empty(0)
     for accepted, value in reversed(levels):

@@ -5,13 +5,21 @@ full-line comment.  Sections are scenario, params, schedule, initial,
 pulse, sweep, and output.  Unknown sections or keys are rejected by name,
 malformed numbers are reported with their line number, and a parsed
 config serializes back to an equivalent file (round-trip safe).
+
+The model's dataclasses are the schema.  [params] keys are SystemParams
+fields (kappa1 and kappa2 default to 0).  Each [schedule] type's keys are
+the init fields of its class in _SCHEDULES, those without a default
+required; piecewise breakpoints are one ``points`` key instead.  _FIELDS
+maps the other keys to ScenarioConfig fields, whose defaults apply, except
+that mech_occupation defaults to n_th and the output path to the scenario.
+serialize_config writes every field that is not None.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 from .model import (
     ConstantCoupling,
@@ -27,20 +35,55 @@ __all__ = ["ConfigError", "Sweep", "ScenarioConfig", "parse_config", "serialize_
 
 SCENARIOS = ("convert", "spectrum", "transmit", "engineer")
 
-_KEYS = {
-    "scenario": {"type", "g_ref", "delta_f", "omega_min", "omega_max", "n_omega"},
-    "params": {"kappa1", "kappa2", "gamma_m", "n_th", "omega_m", "detuning1", "detuning2"},
-    "schedule": {"type", "amplitude", "duration", "g1", "g2", "points", "g_max", "center", "width"},
-    "initial": {"alpha_re", "alpha_im", "r", "phi", "mech_occupation"},
-    "pulse": {"sigma_omega", "amplitude", "n_points"},
-    "sweep": {"parameter", "values"},
-    "output": {"path"},
-}
-
 SWEEPABLE = {
     "kappa1", "kappa2", "gamma_m", "n_th",
     "alpha_re", "alpha_im", "r", "phi", "mech_occupation",
     "sigma_omega",
+}
+
+_SCHEDULES = {
+    "trig": TrigSchedule,
+    "constant": ConstantCoupling,
+    "piecewise": PiecewiseLinearSchedule,
+    "tanh": TanhRampSchedule,
+}
+
+# (section, key) -> (ScenarioConfig field, value type), in the order they are
+# read after [params] and [schedule]; alpha_re and alpha_im are alpha's parts
+_FIELDS = {
+    ("scenario", "g_ref"): ("g_ref", float),
+    ("initial", "alpha_re"): ("alpha_re", float),
+    ("initial", "alpha_im"): ("alpha_im", float),
+    ("initial", "r"): ("r", float),
+    ("initial", "phi"): ("phi", float),
+    ("initial", "mech_occupation"): ("mech_occupation", float),
+    ("pulse", "sigma_omega"): ("sigma_omega", float),
+    ("pulse", "amplitude"): ("pulse_amplitude", float),
+    ("pulse", "n_points"): ("pulse_points", int),
+    ("scenario", "omega_min"): ("omega_min", float),
+    ("scenario", "omega_max"): ("omega_max", float),
+    ("scenario", "n_omega"): ("n_omega", int),
+    ("scenario", "delta_f"): ("delta_f", bool),
+    ("output", "path"): ("output_path", str),
+}
+
+
+def _init_fields(cls: type) -> list[dataclasses.Field]:
+    return [f for f in dataclasses.fields(cls) if f.init]
+
+
+# the keys of each section besides those in _FIELDS
+_KEYS = {
+    "scenario": {"type"},
+    "params": {f.name for f in dataclasses.fields(SystemParams)},
+    "schedule": {"type", "points"}.union(
+        *({f.name for f in _init_fields(cls)} for cls in _SCHEDULES.values()
+          if cls is not PiecewiseLinearSchedule)
+    ),
+    "initial": set(),
+    "pulse": set(),
+    "sweep": {"parameter", "values"},
+    "output": set(),
 }
 
 
@@ -79,9 +122,21 @@ class ScenarioConfig:
         return len(self.sweep.points) if self.sweep is not None else 1
 
 
-class _RawConfig:
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# value type -> (its name in error messages, parser)
+_TYPES = {
+    str: ("text", str),
+    float: ("number", float),
+    int: ("integer", int),
+    bool: ("boolean", lambda text: _BOOLEANS[text.lower()]),
+}
+
+
+class _RawConfig(dict):
+    """(section, key) -> (value text, line number) of one config text."""
+
     def __init__(self, text: str) -> None:
-        self.entries: dict[tuple[str, str], tuple[str, int]] = {}
+        super().__init__()
         section = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -99,117 +154,85 @@ class _RawConfig:
             key, _, value = line.partition("=")
             key = key.strip().lower()
             value = value.strip()
-            if key not in _KEYS[section]:
+            if key not in _KEYS[section] and (section, key) not in _FIELDS:
                 raise ConfigError(f"unknown key {key} in [{section}]")
-            if (section, key) in self.entries:
+            if (section, key) in self:
                 raise ConfigError(f"duplicate key {key} in [{section}] at line {lineno}")
-            self.entries[(section, key)] = (value, lineno)
+            self[(section, key)] = (value, lineno)
 
-    def get(self, section: str, key: str) -> tuple[str, int] | None:
-        return self.entries.get((section, key))
-
-    def text(self, section: str, key: str, default: str | None = None) -> str | None:
-        hit = self.get(section, key)
-        return default if hit is None else hit[0]
-
-    def number(self, section: str, key: str, default: float | None = None) -> float | None:
-        hit = self.get(section, key)
+    def value(self, section: str, key: str, kind: type = str, default=None):
+        """The entry parsed as kind (str, float, int or bool), or default if absent."""
+        hit = self.get((section, key))
         if hit is None:
             return default
-        value, lineno = hit
+        text, lineno = hit
+        name, parse = _TYPES[kind]
         try:
-            return float(value)
-        except ValueError:
+            return parse(text)
+        except (ValueError, KeyError):
+            shown = "" if kind is bool else f": {text!r}"
             raise ConfigError(
-                f"malformed number for {key} in [{section}] at line {lineno}: {value!r}"
+                f"malformed {name} for {key} in [{section}] at line {lineno}{shown}"
             ) from None
-
-    def integer(self, section: str, key: str, default: int | None = None) -> int | None:
-        hit = self.get(section, key)
-        if hit is None:
-            return default
-        value, lineno = hit
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(
-                f"malformed integer for {key} in [{section}] at line {lineno}: {value!r}"
-            ) from None
-
-    def boolean(self, section: str, key: str, default: bool = False) -> bool:
-        hit = self.get(section, key)
-        if hit is None:
-            return default
-        value, lineno = hit
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"malformed boolean for {key} in [{section}] at line {lineno}")
 
 
 def _require(raw: _RawConfig, section: str, key: str) -> tuple[str, int]:
-    hit = raw.get(section, key)
+    hit = raw.get((section, key))
     if hit is None:
         raise ConfigError(f"missing required key {key} in [{section}]")
     return hit
 
 
+def _colon_rows(hit: tuple[str, int], width: int, arity: str, number: str) -> tuple[tuple[float, ...], ...]:
+    """Float rows of ``a:b:..., a:b:...``; the error templates may name {chunk}, {count}, {width}, {line}."""
+    text, line = hit
+    rows = []
+    for chunk in (c.strip() for c in text.split(",")):
+        parts = chunk.split(":")
+        where = {"chunk": chunk, "count": len(parts), "width": width, "line": line}
+        if len(parts) != width:
+            raise ConfigError(arity.format(**where))
+        try:
+            rows.append(tuple(float(p) for p in parts))
+        except ValueError:
+            raise ConfigError(number.format(**where)) from None
+    return tuple(rows)
+
+
+def _rows_text(rows) -> str:
+    return ", ".join(":".join(repr(v) for v in row) for row in rows)
+
+
 def _parse_schedule(raw: _RawConfig) -> CouplingSchedule:
     kind, lineno = _require(raw, "schedule", "type")
     kind = kind.lower()
+    cls = _SCHEDULES.get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown schedule type {kind!r} at line {lineno}")
     try:
-        if kind == "trig":
-            amp = raw.number("schedule", "amplitude")
-            dur = raw.number("schedule", "duration")
-            if amp is None or dur is None:
-                raise ConfigError("trig schedule needs amplitude and duration")
-            return TrigSchedule(amplitude=amp, duration=dur)
-        if kind == "constant":
-            g1 = raw.number("schedule", "g1")
-            g2 = raw.number("schedule", "g2")
-            if g1 is None or g2 is None:
-                raise ConfigError("constant schedule needs g1 and g2")
-            dur = raw.number("schedule", "duration", math.inf)
-            return ConstantCoupling(g1=g1, g2=g2, duration=dur)
-        if kind == "piecewise":
-            hit = raw.get("schedule", "points")
+        if cls is PiecewiseLinearSchedule:
+            hit = raw.get(("schedule", "points"))
             if hit is None:
                 raise ConfigError("piecewise schedule needs points = t:g1:g2, ...")
-            ts, g1s, g2s = [], [], []
-            for chunk in hit[0].split(","):
-                parts = chunk.strip().split(":")
-                if len(parts) != 3:
-                    raise ConfigError(
-                        f"malformed breakpoint {chunk.strip()!r} at line {hit[1]}; "
-                        "expected t:g1:g2"
-                    )
-                try:
-                    t, g1, g2 = (float(p) for p in parts)
-                except ValueError:
-                    raise ConfigError(
-                        f"malformed number in breakpoint {chunk.strip()!r} at line {hit[1]}"
-                    ) from None
-                ts.append(t)
-                g1s.append(g1)
-                g2s.append(g2)
-            return PiecewiseLinearSchedule(
-                times=tuple(ts), g1_values=tuple(g1s), g2_values=tuple(g2s)
+            rows = _colon_rows(
+                hit, 3, "malformed breakpoint {chunk!r} at line {line}; expected t:g1:g2",
+                "malformed number in breakpoint {chunk!r} at line {line}",
             )
-        if kind == "tanh":
-            vals = {k: raw.number("schedule", k) for k in ("g_max", "center", "width", "duration")}
-            if any(v is None for v in vals.values()):
-                raise ConfigError("tanh schedule needs g_max, center, width, duration")
-            return TanhRampSchedule(**vals)
+            return cls(*zip(*rows))
+        fields = _init_fields(cls)
+        # a dataclass lists its required fields first; they are checked before the rest are read
+        kw = {f.name: raw.value("schedule", f.name, float) for f in fields if f.default is MISSING}
+        if None in kw.values():
+            raise ConfigError(f"{kind} schedule needs {', '.join(kw)}")
+        kw.update((f.name, raw.value("schedule", f.name, float, f.default)) for f in fields[len(kw):])
+        return cls(**kw)
     except ModelError as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
-    raise ConfigError(f"unknown schedule type {kind!r} at line {lineno}")
 
 
 def _parse_sweep(raw: _RawConfig) -> Sweep | None:
-    par = raw.get("sweep", "parameter")
-    vals = raw.get("sweep", "values")
+    par = raw.get(("sweep", "parameter"))
+    vals = raw.get(("sweep", "values"))
     if par is None and vals is None:
         return None
     if par is None or vals is None:
@@ -221,71 +244,37 @@ def _parse_sweep(raw: _RawConfig) -> Sweep | None:
                 f"sweep parameter {name!r} does not name a sweepable field "
                 f"(choose from {sorted(SWEEPABLE)})"
             )
-    points = []
-    for chunk in vals[0].split(","):
-        parts = chunk.strip().split(":")
-        if len(parts) != len(names):
-            raise ConfigError(
-                f"sweep point {chunk.strip()!r} has {len(parts)} values for "
-                f"{len(names)} parameter(s)"
-            )
-        try:
-            points.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise ConfigError(
-                f"malformed number in sweep values at line {vals[1]}: {chunk.strip()!r}"
-            ) from None
-    if not points:
-        raise ConfigError("sweep values list is empty")
-    return Sweep(parameters=names, points=tuple(points))
+    points = _colon_rows(
+        vals, len(names), "sweep point {chunk!r} has {count} values for {width} parameter(s)",
+        "malformed number in sweep values at line {line}: {chunk!r}",
+    )
+    return Sweep(parameters=names, points=points)
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate one scenario configuration."""
     raw = _RawConfig(text)
-    scenario, _ = _require(raw, "scenario", "type")
-    scenario = scenario.lower()
+    scenario = _require(raw, "scenario", "type")[0].lower()
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario type {scenario!r}; expected one of {SCENARIOS}")
-
-    g_ref = raw.number("scenario", "g_ref", 1.0)
-    if g_ref <= 0:
+    if raw.value("scenario", "g_ref", float, ScenarioConfig.g_ref) <= 0:
         raise ConfigError("g_ref must be positive")
 
     try:
-        params = SystemParams(
-            kappa1=raw.number("params", "kappa1", 0.0),
-            kappa2=raw.number("params", "kappa2", 0.0),
-            gamma_m=raw.number("params", "gamma_m", 0.0),
-            n_th=raw.number("params", "n_th", 0.0),
-            omega_m=raw.number("params", "omega_m"),
-            detuning1=raw.number("params", "detuning1"),
-            detuning2=raw.number("params", "detuning2"),
-        )
+        params = SystemParams(**{
+            f.name: raw.value("params", f.name, float, 0.0 if f.default is MISSING else f.default)
+            for f in dataclasses.fields(SystemParams)
+        })
     except ModelError as exc:
         raise ConfigError(f"invalid [params]: {exc}") from exc
 
     schedule = _parse_schedule(raw)
-
-    mech_default = params.n_th
+    kw = {name: raw.value(*where, kind) for where, (name, kind) in _FIELDS.items() if where in raw}
+    alpha = complex(kw.pop("alpha_re", ScenarioConfig.alpha.real), kw.pop("alpha_im", ScenarioConfig.alpha.imag))
+    kw.setdefault("mech_occupation", params.n_th)
+    kw["output_path"] = kw.get("output_path") or scenario
     config = ScenarioConfig(
-        scenario=scenario,
-        params=params,
-        schedule=schedule,
-        g_ref=g_ref,
-        alpha=complex(raw.number("initial", "alpha_re", 1.0), raw.number("initial", "alpha_im", 0.0)),
-        r=raw.number("initial", "r", 0.0),
-        phi=raw.number("initial", "phi", 0.0),
-        mech_occupation=raw.number("initial", "mech_occupation", mech_default),
-        sigma_omega=raw.number("pulse", "sigma_omega"),
-        pulse_amplitude=raw.number("pulse", "amplitude", 1.0),
-        pulse_points=raw.integer("pulse", "n_points", 4096),
-        omega_min=raw.number("scenario", "omega_min", -0.3),
-        omega_max=raw.number("scenario", "omega_max", 0.3),
-        n_omega=raw.integer("scenario", "n_omega", 601),
-        delta_f=raw.boolean("scenario", "delta_f", False),
-        sweep=_parse_sweep(raw),
-        output_path=raw.text("output", "path", "") or scenario,
+        scenario=scenario, params=params, schedule=schedule, alpha=alpha, sweep=_parse_sweep(raw), **kw
     )
     _validate(config)
     return config
@@ -298,9 +287,7 @@ def _validate(config: ScenarioConfig) -> None:
         raise ConfigError("mech_occupation must be non-negative")
     if config.scenario in ("convert", "engineer") and not math.isfinite(config.schedule.duration):
         raise ConfigError(f"{config.scenario} scenario needs a schedule with finite duration")
-    if config.scenario in ("spectrum", "transmit") and not isinstance(
-        config.schedule, ConstantCoupling
-    ):
+    if config.scenario in ("spectrum", "transmit") and not isinstance(config.schedule, ConstantCoupling):
         raise ConfigError(f"{config.scenario} scenario needs a constant schedule")
     if config.scenario in ("transmit", "engineer"):
         if config.sigma_omega is None or config.sigma_omega <= 0:
@@ -320,97 +307,59 @@ def apply_sweep_point(config: ScenarioConfig, point_index: int) -> ScenarioConfi
 
     mech_occupation keeps its configured value even when n_th is swept:
     the parse-time default couples them once, after which the initial
-    mechanical state and the bath are independent knobs.
+    mechanical state and the bath are independent knobs.  SystemParams is
+    rebuilt, and so re-validated, only when the point sets one of its fields.
     """
     if config.sweep is None:
         if point_index != 0:
             raise ConfigError("no sweep defined")
         return config
-    names = config.sweep.parameters
     values = config.sweep.points[point_index]
-    params_kw = {}
-    cfg_kw: dict[str, object] = {}
-    alpha_re, alpha_im = config.alpha.real, config.alpha.imag
-    for name, value in zip(names, values):
-        if name in ("kappa1", "kappa2", "gamma_m", "n_th"):
-            params_kw[name] = value
-        elif name == "alpha_re":
-            alpha_re = value
-        elif name == "alpha_im":
-            alpha_im = value
-        else:
-            cfg_kw[name] = value
+    point = dict(zip(config.sweep.parameters, values))
+    params_kw = {name: point.pop(name) for name in _KEYS["params"] & point.keys()}
+    alpha = complex(point.pop("alpha_re", config.alpha.real), point.pop("alpha_im", config.alpha.imag))
     if params_kw:
         try:
-            cfg_kw["params"] = dataclasses.replace(config.params, **params_kw)
+            point["params"] = dataclasses.replace(config.params, **params_kw)
         except ModelError as exc:
             raise ConfigError(f"invalid sweep point {values}: {exc}") from exc
-    cfg_kw["alpha"] = complex(alpha_re, alpha_im)
-    cfg_kw["sweep"] = None
-    return dataclasses.replace(config, **cfg_kw)
+    return dataclasses.replace(config, alpha=alpha, sweep=None, **point)
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(value)
 
 
 def serialize_config(config: ScenarioConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = ["[scenario]", f"type = {config.scenario}", f"g_ref = {config.g_ref!r}"]
-    if config.delta_f:
-        lines.append("delta_f = true")
-    if config.scenario == "spectrum":
-        lines += [
-            f"omega_min = {config.omega_min!r}",
-            f"omega_max = {config.omega_max!r}",
-            f"n_omega = {config.n_omega}",
-        ]
-    p = config.params
-    lines += ["", "[params]"]
-    lines += [f"kappa1 = {p.kappa1!r}", f"kappa2 = {p.kappa2!r}"]
-    lines += [f"gamma_m = {p.gamma_m!r}", f"n_th = {p.n_th!r}"]
-    for key in ("omega_m", "detuning1", "detuning2"):
-        value = getattr(p, key)
-        if value is not None:
-            lines.append(f"{key} = {value!r}")
-    lines += ["", "[schedule]"]
+    """Canonical text form, every field that is not None; parse_config(serialize_config(c)) == c."""
     s = config.schedule
-    if isinstance(s, TrigSchedule):
-        lines += ["type = trig", f"amplitude = {s.amplitude!r}", f"duration = {s.duration!r}"]
-    elif isinstance(s, ConstantCoupling):
-        lines += ["type = constant", f"g1 = {s.g1!r}", f"g2 = {s.g2!r}"]
-        if math.isfinite(s.duration):
-            lines.append(f"duration = {s.duration!r}")
-    elif isinstance(s, PiecewiseLinearSchedule):
-        pts = ", ".join(
-            f"{t!r}:{g1!r}:{g2!r}" for t, g1, g2 in zip(s.times, s.g1_values, s.g2_values)
-        )
-        lines += ["type = piecewise", f"points = {pts}"]
-    elif isinstance(s, TanhRampSchedule):
-        lines += [
-            "type = tanh",
-            f"g_max = {s.g_max!r}",
-            f"center = {s.center!r}",
-            f"width = {s.width!r}",
-            f"duration = {s.duration!r}",
-        ]
-    else:
+    kind = next((name for name, cls in _SCHEDULES.items() if isinstance(s, cls)), None)
+    if kind is None:
         raise ConfigError(f"cannot serialize schedule type {type(s).__name__}")
-    lines += ["", "[initial]"]
-    lines += [
-        f"alpha_re = {config.alpha.real!r}",
-        f"alpha_im = {config.alpha.imag!r}",
-        f"r = {config.r!r}",
-        f"phi = {config.phi!r}",
-        f"mech_occupation = {config.mech_occupation!r}",
-    ]
-    if config.sigma_omega is not None:
-        lines += [
-            "",
-            "[pulse]",
-            f"sigma_omega = {config.sigma_omega!r}",
-            f"amplitude = {config.pulse_amplitude!r}",
-            f"n_points = {config.pulse_points}",
-        ]
-    if config.sweep is not None:
-        lines += ["", "[sweep]", f"parameter = {', '.join(config.sweep.parameters)}"]
-        pts = ", ".join(":".join(repr(v) for v in pt) for pt in config.sweep.points)
-        lines.append(f"values = {pts}")
-    lines += ["", "[output]", f"path = {config.output_path}", ""]
-    return "\n".join(lines)
+    if kind == "piecewise":
+        schedule = {"points": _rows_text(zip(s.times, s.g1_values, s.g2_values))}
+    else:
+        schedule = {f.name: getattr(s, f.name) for f in _init_fields(_SCHEDULES[kind])}
+    sweep = config.sweep
+    sections = {
+        "scenario": {"type": config.scenario},
+        "params": {f.name: getattr(config.params, f.name) for f in dataclasses.fields(SystemParams)},
+        "schedule": {"type": kind, **schedule},
+        "initial": {},
+        "pulse": {},
+        "sweep": {} if sweep is None else {
+            "parameter": ", ".join(sweep.parameters), "values": _rows_text(sweep.points)
+        },
+        "output": {},
+    }
+    values = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    values.update(alpha_re=config.alpha.real, alpha_im=config.alpha.imag)
+    for (section, key), (name, _) in _FIELDS.items():
+        sections[section][key] = values[name]
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{key} = {_format(v)}\n" for key, v in entries.items() if v is not None)
+        for section, entries in sections.items()
+        if entries
+    )

@@ -269,17 +269,13 @@ def _peak_coupling(schedule: CouplingSchedule, t_final: float) -> float:
     return float(np.abs(schedule.values(t_final * np.arange(257) / 256.0)).max())
 
 
-def _step_count(
-    params: SystemParams, g_max: float, t_final: float, max_step: float | None = None
-) -> int:
+def _step_count(params: SystemParams, g_max: float, t_final: float) -> int:
     rate = max(params.kappa1, params.kappa2, params.gamma_m, g_max)
     h = min(t_final / 2000.0, 0.01)
     if rate > 0:
         # keeps the RK4 defect (rate*h)^4 below the 1e-8 physicality
         # tolerance for pure states on long runs
         h = min(h, 0.01 / rate)
-    if max_step is not None:
-        h = min(h, max_step)
     return max(1, math.ceil(t_final / h))
 
 
@@ -358,24 +354,23 @@ def integrate(
     params: SystemParams,
     schedule: CouplingSchedule,
     t_final: float,
-    max_step: float | None = None,
     n_samples: int = 201,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the moment equations.
 
     The step is h = min(T/2000, 0.01, 0.01/max(kappa1, kappa2, gamma_m, g)),
-    with g the peak coupling on 257 grid times, optionally capped by
-    max_step; fixed stepping keeps trajectories reproducible.  N and A are
-    symmetrized once on load: the exact blocks embed_initial builds stay
-    as they are, and an input Hermitian only within the validator's 1e-8
-    loses its anti-Hermitian residue.  Stages are then stacked products (see
+    with g the peak coupling on 257 grid times; fixed stepping keeps
+    trajectories reproducible.  N and A are symmetrized once on load: the
+    exact blocks embed_initial builds stay as they are, and an input
+    Hermitian only within the validator's 1e-8 loses its anti-Hermitian
+    residue.  Stages are then stacked products (see
     _stage_derivative), bitwise the plain formulas, and every recorded
     sample is validated as a state, about 256 samples per stacked validator
     call; a failure names the time of the first faulty sample.
     """
     if t_final <= 0:
         raise GaussianError("t_final must be positive")
-    n_steps = _step_count(params, _peak_coupling(schedule, t_final), t_final, max_step)
+    n_steps = _step_count(params, _peak_coupling(schedule, t_final), t_final)
     times = [0.0]
     states = [state0]
     samples = _rk4_samples(

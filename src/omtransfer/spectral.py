@@ -59,9 +59,6 @@ class Eigensystem:
     vectors: np.ndarray
     inverse: np.ndarray
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.vectors[:, i]
-
 
 @dataclass(frozen=True, eq=False)
 class DarkMode:

@@ -29,7 +29,7 @@ FFT path for constant couplings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class Pulse:
 
     times: np.ndarray
     amplitudes: np.ndarray
-    _spectrum: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -90,19 +87,17 @@ class Pulse:
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(omega, a(omega)) with a(omega) = int dt/sqrt(2pi) a(t) e^{i omega t}."""
-        if self._spectrum is None:
-            n = self.times.size
-            omegas = 2.0 * math.pi * np.fft.fftfreq(n, d=self.dt)
-            amps = (
-                n
-                * self.dt
-                / math.sqrt(2.0 * math.pi)
-                * np.fft.ifft(self.amplitudes)
-                * np.exp(1j * omegas * self.times[0])
-            )
-            order = np.argsort(omegas)
-            self._spectrum = (omegas[order], amps[order])
-        return self._spectrum
+        n = self.times.size
+        omegas = 2.0 * math.pi * np.fft.fftfreq(n, d=self.dt)
+        amps = (
+            n
+            * self.dt
+            / math.sqrt(2.0 * math.pi)
+            * np.fft.ifft(self.amplitudes)
+            * np.exp(1j * omegas * self.times[0])
+        )
+        order = np.argsort(omegas)
+        return omegas[order], amps[order]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +135,23 @@ def test_f_integral_panel_cap(monkeypatch):
     monkeypatch.setattr(adiabatic, "_MAX_PANELS", 4095)
     with pytest.raises(AdiabaticError, match="did not converge"):
         f_integral(p, ramp, 0.0, 4.0, tol=-1.0)
+
+
+def test_f_integral_cap_bounds_memory(monkeypatch):
+    # a level that would pass the cap raises before its halves are built, and
+    # only split panels are halved: 1.60 MB traced here, against 2.98 MB when
+    # every panel's halves were built first and the cap checked afterwards
+    monkeypatch.setattr(adiabatic, "_MAX_PANELS", 2**14)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(AdiabaticError, match="did not converge within 16384 panels"):
+            f_integral(SystemParams(0.2, 0.1), FIG1, 0.0, math.pi / 2, tol=-1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6
 
 
 def test_f_integral_partial_interval():
