@@ -23,14 +23,11 @@ from .gaussian import (
 from .model import (
     ConstantCoupling,
     CouplingSchedule,
-    DynamicMatrix,
     PiecewiseLinearSchedule,
     SystemParams,
     TanhRampSchedule,
     TrigSchedule,
     adiabaticity,
-    build_dynamic_matrix,
-    coupling_at,
     dynamic_matrix_at,
 )
 from .scenarios import RunArtifacts, emit_summary, run_scenario
@@ -45,7 +42,6 @@ from .spectral import (
 )
 from .transmission import (
     Pulse,
-    TransmissionReport,
     TransmissionSpectrum,
     gaussian_pulse,
     half_width,

@@ -277,6 +277,8 @@ def parse_config(text: str) -> ScenarioConfig:
         scenario=scenario, params=params, schedule=schedule, alpha=alpha, sweep=_parse_sweep(raw), **kw
     )
     _validate(config)
+    for idx in range(config.n_runs):
+        apply_sweep_point(config, idx)  # every sweep point passes the same checks
     return config
 
 
@@ -303,12 +305,13 @@ def _validate(config: ScenarioConfig) -> None:
 
 
 def apply_sweep_point(config: ScenarioConfig, point_index: int) -> ScenarioConfig:
-    """Materialize one sweep point as a standalone configuration.
+    """Materialize one sweep point as a standalone, validated configuration.
 
     mech_occupation keeps its configured value even when n_th is swept:
     the parse-time default couples them once, after which the initial
     mechanical state and the bath are independent knobs.  SystemParams is
     rebuilt, and so re-validated, only when the point sets one of its fields.
+    A point that fails a check raises ConfigError naming its values.
     """
     if config.sweep is None:
         if point_index != 0:
@@ -318,12 +321,14 @@ def apply_sweep_point(config: ScenarioConfig, point_index: int) -> ScenarioConfi
     point = dict(zip(config.sweep.parameters, values))
     params_kw = {name: point.pop(name) for name in _KEYS["params"] & point.keys()}
     alpha = complex(point.pop("alpha_re", config.alpha.real), point.pop("alpha_im", config.alpha.imag))
-    if params_kw:
-        try:
+    try:
+        if params_kw:
             point["params"] = dataclasses.replace(config.params, **params_kw)
-        except ModelError as exc:
-            raise ConfigError(f"invalid sweep point {values}: {exc}") from exc
-    return dataclasses.replace(config, alpha=alpha, sweep=None, **point)
+        materialized = dataclasses.replace(config, alpha=alpha, sweep=None, **point)
+        _validate(materialized)
+    except (ModelError, ConfigError) as exc:
+        raise ConfigError(f"invalid sweep point {values}: {exc}") from exc
+    return materialized
 
 
 def _format(value) -> str:

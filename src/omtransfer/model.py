@@ -30,11 +30,8 @@ __all__ = [
     "TrigSchedule",
     "PiecewiseLinearSchedule",
     "TanhRampSchedule",
-    "DynamicMatrix",
     "drift_stack",
-    "build_dynamic_matrix",
     "dynamic_matrix_at",
-    "coupling_at",
     "adiabaticity",
 ]
 
@@ -97,11 +94,6 @@ class SystemParams:
     def damping_diagonal(self) -> np.ndarray:
         """K as a length-3 vector (kappa1, gamma_m, kappa2)."""
         return np.array([self.kappa1, self.gamma_m, self.kappa2])
-
-    @property
-    def damping_matrix(self) -> np.ndarray:
-        """K = diag(kappa1, gamma_m, kappa2)."""
-        return np.diag(self.damping_diagonal)
 
 
 class CouplingSchedule:
@@ -245,35 +237,6 @@ class TanhRampSchedule(CouplingSchedule):
         return d, d
 
 
-@dataclass(frozen=True, eq=False)
-class DynamicMatrix:
-    """Drift matrix M at one instant, plus the damping diagonal it was built from."""
-
-    entries: np.ndarray
-    damping: np.ndarray
-    time_tag: float = 0.0
-
-    @property
-    def g1(self) -> float:
-        return float(self.entries[0, 1].real)
-
-    @property
-    def g2(self) -> float:
-        return float(self.entries[1, 2].real)
-
-    @property
-    def g0(self) -> float:
-        return math.hypot(self.g1, self.g2)
-
-    @property
-    def damping_matrix(self) -> np.ndarray:
-        return np.diag(self.damping)
-
-    @property
-    def sqrt_damping(self) -> np.ndarray:
-        return np.diag(np.sqrt(self.damping))
-
-
 def drift_stack(damping, g1, g2) -> np.ndarray:
     """Complex (..., 3, 3) stack of M; exact by construction.
 
@@ -287,27 +250,9 @@ def drift_stack(damping, g1, g2) -> np.ndarray:
     return m.reshape(m.shape[:-1] + (3, 3))
 
 
-def build_dynamic_matrix(
-    params: SystemParams, g1: float, g2: float, time_tag: float = 0.0
-) -> DynamicMatrix:
-    """Assemble M for given couplings; exact by construction."""
-    damping = params.damping_diagonal
-    return DynamicMatrix(entries=drift_stack(damping, g1, g2), damping=damping, time_tag=time_tag)
-
-
-def dynamic_matrix_at(
-    params: SystemParams, schedule: CouplingSchedule, t: float
-) -> DynamicMatrix:
-    """M(t) for a schedule, tagged with the build time."""
-    g1, g2 = schedule.values(t)
-    return build_dynamic_matrix(params, g1, g2, time_tag=t)
-
-
-def coupling_at(schedule: CouplingSchedule, t) -> tuple[np.ndarray, ...]:
-    """(g1, g2, dg1/dt, dg2/dt) at the time(s) t; raises outside [0, duration]."""
-    g1, g2 = schedule.values(t)
-    d1, d2 = schedule.derivatives(t)
-    return g1, g2, d1, d2
+def dynamic_matrix_at(params: SystemParams, schedule: CouplingSchedule, t: float) -> np.ndarray:
+    """Complex (3, 3) M(t) of a schedule."""
+    return drift_stack(params.damping_diagonal, *schedule.values(t))
 
 
 def adiabaticity(schedule: CouplingSchedule, n_samples: int = 1001) -> float:
@@ -321,7 +266,8 @@ def adiabaticity(schedule: CouplingSchedule, n_samples: int = 1001) -> float:
         raise ModelError("n_samples must be positive")
     span = schedule.duration if math.isfinite(schedule.duration) else 1.0
     t = span * np.arange(1, n_samples + 1) / (n_samples + 1)
-    g1, g2, d1, d2 = coupling_at(schedule, t)
+    g1, g2 = schedule.values(t)
+    d1, d2 = schedule.derivatives(t)
     g0sq = g1 * g1 + g2 * g2
     vanishes = g0sq == 0.0
     if vanishes.any():

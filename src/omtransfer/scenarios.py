@@ -1,10 +1,12 @@
 """Scenario execution: sweeps, CSV artifacts, and summary records.
 
 Each run produces deterministic CSV files (see ``csvio``) plus one summary
-record of the key scalars.  A conversion sweep integrates all its points,
-and their quiet-bath twins when ``delta_f`` is set, as one batched moment
-integration; spectrum and pulse points run one after another.  Everything
-runs in one thread and in sweep order, so repeated runs are byte-identical.
+record per sweep point.  A conversion sweep integrates all its points, and
+their quiet-bath twins when ``delta_f`` is set, as one batched moment
+integration; spectrum and pulse runs take their points in one loop, each
+point computed and formatted in turn.  Files are written only after the
+last point, so a failed run writes none.  Everything runs in one thread
+and in sweep order, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from . import adiabatic, gaussian, transmission
 from .config import ConfigError, ScenarioConfig, apply_sweep_point
 from .csvio import build_csv, format_value, write_atomic
-from .model import ConstantCoupling
 
 __all__ = ["RunArtifacts", "SummaryRecord", "run_scenario", "emit_summary"]
 
@@ -122,91 +123,64 @@ def _run_convert(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
 
 def _run_spectrum(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
     omegas = np.linspace(config.omega_min, config.omega_max, config.n_omega)
-
-    def run_point(idx: int):
-        cfg = apply_sweep_point(config, idx)
-        sched = cfg.schedule
-        assert isinstance(sched, ConstantCoupling)
-        spec = transmission.transmission_spectrum(cfg.params, sched.g1, sched.g2, omegas)
-        res = transmission.t31_resonant(cfg.params, sched.g1, sched.g2)
-        hw_an, hw_num = transmission.half_width(cfg.params, sched.g1, sched.g2)
-        return cfg, spec, res, hw_an, hw_num
-
-    results = [run_point(idx) for idx in range(config.n_runs)]
     base = _base_name(config)
-    files = []
+    texts = []
     summaries = []
-    for idx, (cfg, spec, res, hw_an, hw_num) in enumerate(results):
+    for idx in range(config.n_runs):
+        cfg = apply_sweep_point(config, idx)
+        g1, g2 = cfg.schedule.g1, cfg.schedule.g2
+        spec = transmission.transmission_spectrum(cfg.params, g1, g2, omegas)
+        res = transmission.t31_resonant(cfg.params, g1, g2)
+        hw_an, hw_num = transmission.half_width(cfg.params, g1, g2)
         name = f"{base}.csv" if config.n_runs == 1 else f"{base}_{idx + 1:03d}.csv"
-        files.append(write_atomic(out_dir / name, transmission.spectrum_to_csv(spec)))
-        scalars = _check_finite(
-            [
-                ("t31_0", res.value),
-                ("optimal", 1.0 if res.optimal else 0.0),
-                ("half_width_analytic", hw_an),
-                ("half_width_numeric", hw_num),
-            ]
-        )
-        summaries.append(SummaryRecord(_point_label(config, idx), scalars))
-    return RunArtifacts(files=tuple(files), summaries=tuple(summaries))
+        texts.append((name, transmission.spectrum_to_csv(spec)))
+        scalars = [("t31_0", res.value), ("optimal", 1.0 if res.optimal else 0.0),
+                   ("half_width_analytic", hw_an), ("half_width_numeric", hw_num)]
+        summaries.append(SummaryRecord(_point_label(config, idx), _check_finite(scalars)))
+    return _write(out_dir, texts, summaries)
 
 
 def _run_pulse(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
     time_domain = config.scenario == "engineer"
-
-    def run_point(idx: int):
-        cfg = apply_sweep_point(config, idx)
-        p_in = transmission.gaussian_pulse(
-            cfg.sigma_omega, cfg.pulse_amplitude, cfg.pulse_points
-        )
-        if time_domain:
-            p_out = transmission.transmit_pulse_time(p_in, cfg.params, cfg.schedule)
-        else:
-            sched = cfg.schedule
-            assert isinstance(sched, ConstantCoupling)
-            p_out = transmission.transmit_pulse_freq(p_in, cfg.params, sched.g1, sched.g2)
-        fp = transmission.pulse_fidelity(p_in, p_out)
-        energy = transmission.pulse_energy(p_out) / transmission.pulse_energy(p_in)
-        hw = None
-        res = None
-        if not time_domain:
-            res = transmission.t31_resonant(cfg.params, cfg.schedule.g1, cfg.schedule.g2)
-            hw = transmission.half_width(cfg.params, cfg.schedule.g1, cfg.schedule.g2)
-        return cfg, p_in, p_out, fp, energy, res, hw
-
-    results = [run_point(idx) for idx in range(config.n_runs)]
     base = _base_name(config)
-    files = []
+    texts = []
     summaries = []
     summary_rows = []
     sweep_names = list(config.sweep.parameters) if config.sweep else []
     summary_header = sweep_names + ["pulse_fidelity", "energy_ratio"]
     if not time_domain:
         summary_header += ["t31_0", "half_width_analytic", "half_width_numeric"]
-    for idx, (cfg, p_in, p_out, fp, energy, res, hw) in enumerate(results):
+    for idx in range(config.n_runs):
+        cfg = apply_sweep_point(config, idx)
+        sched = cfg.schedule
+        p_in = transmission.gaussian_pulse(cfg.sigma_omega, cfg.pulse_amplitude, cfg.pulse_points)
+        if time_domain:
+            p_out = transmission.transmit_pulse_time(p_in, cfg.params, sched)
+        else:
+            p_out = transmission.transmit_pulse_freq(p_in, cfg.params, sched.g1, sched.g2)
+        fp = transmission.pulse_fidelity(p_in, p_out)
+        energy = transmission.pulse_energy(p_out) / transmission.pulse_energy(p_in)
         tag = "" if config.n_runs == 1 else f"_{idx + 1:03d}"
-        files.append(
-            write_atomic(out_dir / f"{base}{tag}_in.csv", transmission.pulse_to_csv(p_in))
-        )
-        files.append(
-            write_atomic(out_dir / f"{base}{tag}_out.csv", transmission.pulse_to_csv(p_out))
-        )
+        texts.append((f"{base}{tag}_in.csv", transmission.pulse_to_csv(p_in)))
+        texts.append((f"{base}{tag}_out.csv", transmission.pulse_to_csv(p_out)))
         row: list = [v for v in (config.sweep.points[idx] if config.sweep else [])]
         row += [fp, energy]
         scalars = [("Fp", fp), ("energy_ratio", energy)]
         if not time_domain:
-            row += [res.value, hw[0], hw[1]]
-            scalars += [
-                ("t31_0", res.value),
-                ("half_width_analytic", hw[0]),
-                ("half_width_numeric", hw[1]),
-            ]
+            res = transmission.t31_resonant(cfg.params, sched.g1, sched.g2)
+            hw_an, hw_num = transmission.half_width(cfg.params, sched.g1, sched.g2)
+            row += [res.value, hw_an, hw_num]
+            scalars += [("t31_0", res.value), ("half_width_analytic", hw_an), ("half_width_numeric", hw_num)]
         summary_rows.append(row)
         summaries.append(SummaryRecord(_point_label(config, idx), _check_finite(scalars)))
-    files.append(
-        write_atomic(out_dir / f"{base}_summary.csv", build_csv(summary_header, summary_rows))
-    )
-    return RunArtifacts(files=tuple(files), summaries=tuple(summaries))
+    texts.append((f"{base}_summary.csv", build_csv(summary_header, summary_rows)))
+    return _write(out_dir, texts, summaries)
+
+
+def _write(out_dir: Path, texts: list[tuple[str, str]], summaries: list[SummaryRecord]) -> RunArtifacts:
+    """Write every (name, text) once all points have run, so a failed run writes no file."""
+    files = tuple(write_atomic(out_dir / name, text) for name, text in texts)
+    return RunArtifacts(files=files, summaries=tuple(summaries))
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Path | str = ".") -> RunArtifacts:
@@ -219,9 +193,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Path | str = ".") -> RunArtifa
             return _run_spectrum(config, out)
         if config.scenario in ("transmit", "engineer"):
             return _run_pulse(config, out)
-    except ScenarioError:
-        raise
-    except ConfigError:
+    except (ScenarioError, ConfigError):
         raise
     except Exception as exc:
         raise ScenarioError(f"{config.scenario} run failed: {exc}") from exc

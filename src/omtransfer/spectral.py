@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CouplingSchedule, DynamicMatrix, SystemParams, drift_stack, dynamic_matrix_at
+from .model import CouplingSchedule, SystemParams, drift_stack
 
 __all__ = [
     "Eigensystem",
@@ -140,8 +140,8 @@ def _tracked(mats: np.ndarray, reference: np.ndarray | None = None) -> list[Eige
     return [Eigensystem(*fields) for fields in zip(lambdas, vectors, inverse)]
 
 
-def eigensystem(m: DynamicMatrix, reference: Eigensystem | None = None) -> Eigensystem:
-    """Full eigensystem of M.
+def eigensystem(m: np.ndarray, reference: Eigensystem | None = None) -> Eigensystem:
+    """Full eigensystem of the complex (3, 3) drift matrix m.
 
     Without a reference the modes are ordered by ascending Re(lambda), then
     Im(lambda), and each vector's phase is fixed so its largest-modulus
@@ -154,7 +154,7 @@ def eigensystem(m: DynamicMatrix, reference: Eigensystem | None = None) -> Eigen
     docstring).
     """
     ref = None if reference is None else reference.vectors
-    return _tracked(m.entries[None], ref)[0]
+    return _tracked(m[None], ref)[0]
 
 
 def eigensystem_sweep(
@@ -178,9 +178,9 @@ def _ideal_dark_vector(g1: float, g2: float) -> np.ndarray:
     return np.array([-g2 / g0, 0.0, g1 / g0], dtype=complex)
 
 
-def dark_mode_exact(m: DynamicMatrix) -> DarkMode:
-    """Select the exact eigenmode closest to the ideal dark vector."""
-    ideal = _ideal_dark_vector(m.g1, m.g2)
+def dark_mode_exact(m: np.ndarray) -> DarkMode:
+    """Select the exact eigenmode of the drift matrix m closest to the ideal dark vector."""
+    ideal = _ideal_dark_vector(m[0, 1].real, m[1, 2].real)
     es = eigensystem(m)
     overlaps = [abs(np.vdot(ideal, es.vectors[:, i])) for i in range(3)]
     ranked = sorted(range(3), key=lambda i: -overlaps[i])
@@ -244,8 +244,6 @@ def adiabatic_correction_norm(
     h = 1e-5 * span
     t_lo = max(t - h, 0.0)
     t_hi = min(t + h, schedule.duration)
-    es_lo = eigensystem(dynamic_matrix_at(params, schedule, t_lo))
-    es_mid = eigensystem(dynamic_matrix_at(params, schedule, t), reference=es_lo)
-    es_hi = eigensystem(dynamic_matrix_at(params, schedule, t_hi), reference=es_mid)
+    es_lo, es_mid, es_hi = eigensystem_sweep(params, schedule, [t_lo, t, t_hi])
     dinv = (es_hi.inverse - es_lo.inverse) / (t_hi - t_lo)
     return float(np.max(np.abs(dinv @ es_mid.vectors)))

@@ -34,13 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import build_csv
-from .model import CouplingSchedule, SystemParams, build_dynamic_matrix, drift_stack
+from .model import CouplingSchedule, SystemParams, drift_stack
 
 __all__ = [
     "TransmissionError",
     "Pulse",
     "TransmissionSpectrum",
-    "TransmissionReport",
     "ResonantTransmission",
     "gaussian_pulse",
     "transmission_matrix",
@@ -51,7 +50,6 @@ __all__ = [
     "pulse_energy",
     "transmit_pulse_freq",
     "transmit_pulse_time",
-    "transmission_report",
     "pulse_to_csv",
     "spectrum_to_csv",
 ]
@@ -118,14 +116,6 @@ class ResonantTransmission:
     mismatch: float
 
 
-@dataclass(frozen=True)
-class TransmissionReport:
-    t31_resonant: float
-    half_width_analytic: float
-    half_width_numeric: float
-    pulse_fidelity: float
-
-
 def gaussian_pulse(
     sigma_omega: float, amplitude: complex = 1.0, n_points: int = 4096
 ) -> Pulse:
@@ -166,13 +156,13 @@ def _transfer_stack(params: SystemParams, g1: float, g2: float, omegas: np.ndarr
     eye = np.eye(3, dtype=complex)
     if params.kappa1 == params.kappa2 == params.gamma_m == 0.0:
         return np.broadcast_to(eye, (omegas.size, 3, 3)).copy()
-    drift = build_dynamic_matrix(params, g1, g2)
-    m = omegas[:, None, None] * eye - drift.entries
+    damping = params.damping_diagonal
+    m = omegas[:, None, None] * eye - drift_stack(damping, g1, g2)
     singular = np.abs(np.linalg.det(m)) < 1e-300
     if singular.any():
         omega = float(omegas[np.argmax(singular)])
         raise TransmissionError(f"(I w - M) is singular at omega = {omega}")
-    sqrt_k = np.sqrt(drift.damping)
+    sqrt_k = np.sqrt(damping)
     resolvent_k = np.linalg.solve(m, np.broadcast_to(np.diag(sqrt_k), m.shape))
     return eye - 1j * sqrt_k[:, None] * resolvent_k
 
@@ -230,12 +220,12 @@ def half_width(params: SystemParams, g1: float, g2: float) -> tuple[float, float
         / (2.0 * (g1 * g1 + g2 * g2))
     )
 
-    target = 0.5 * abs(_t31_values(params, g1, g2, np.array([0.0]))[0])
-    f = lambda w: abs(_t31_values(params, g1, g2, np.array([w]))[0]) - target
     n_scan = 2048
-    grid = g0 / 2.0 * np.arange(1, n_scan + 1) / n_scan
-    ws = np.concatenate([[0.0], grid])
-    vals = np.concatenate([[f(0.0)], np.abs(_t31_values(params, g1, g2, grid)) - target])
+    ws = g0 / 2.0 * np.arange(n_scan + 1) / n_scan
+    mags = np.abs(_t31_values(params, g1, g2, ws))
+    target = 0.5 * mags[0]
+    f = lambda w: abs(_t31_values(params, g1, g2, np.array([w]))[0]) - target
+    vals = mags - target
     crossings = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
     if crossings.size == 0:
         raise TransmissionError(
@@ -390,18 +380,6 @@ def transmit_pulse_time(
         y = phi[k] @ y + acc[k]
         out[k + 1] = -sqrt_k2 * y[2]
     return Pulse(times=t_grid.copy(), amplitudes=out)
-
-
-def transmission_report(
-    params: SystemParams, g1: float, g2: float, p_in: Pulse, p_out: Pulse
-) -> TransmissionReport:
-    hw_an, hw_num = half_width(params, g1, g2)
-    return TransmissionReport(
-        t31_resonant=t31_resonant(params, g1, g2).value,
-        half_width_analytic=hw_an,
-        half_width_numeric=hw_num,
-        pulse_fidelity=pulse_fidelity(p_in, p_out),
-    )
 
 
 def pulse_to_csv(pulse: Pulse) -> str:

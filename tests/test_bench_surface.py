@@ -1,0 +1,58 @@
+"""The package names the benchmark in perfbench/ wraps or calls still exist.
+
+perfbench's tracer replaces package functions by name, and its workloads
+call a few library functions directly.  Deleting or renaming one of them
+breaks every benchmark run, so these tests fail first.  They load
+perfbench's own modules and change nothing there.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def om():
+    return _perfbench("package").load(ROOT)
+
+
+def test_tracer_wraps_every_name_and_restores_it(om):
+    tracing = _perfbench("tracing")
+    before = (om.spectral.dark_mode_exact, om.model.adiabaticity, om.cli.parse_config, om.scenarios.write_atomic)
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer, om)
+    try:
+        wrapped = (om.spectral.dark_mode_exact, om.model.adiabaticity, om.cli.parse_config, om.scenarios.write_atomic)
+        assert all(w is not b for w, b in zip(wrapped, before))
+        m = om.model.dynamic_matrix_at(om.model.SystemParams(0.1, 0.1), om.model.ConstantCoupling(1.0, 1.0), 0.0)
+        om.spectral.dark_mode_exact(m)
+        assert tracer.counts["spectral.dark_mode.calls"] == 1
+        assert tracer.counts["spectral.eigensystem.calls"] == 1
+    finally:
+        tracer.restore()
+    after = (om.spectral.dark_mode_exact, om.model.adiabaticity, om.cli.parse_config, om.scenarios.write_atomic)
+    assert all(a is b for a, b in zip(after, before))
+
+
+@pytest.mark.parametrize("t", [0.0, 25.0, 50.0, 100.0])
+def test_dark_mode_of_dynamic_matrix_at(om, t):
+    # the call trajectory_study makes at every 40th sample
+    params = om.model.SystemParams(0.1, 0.2, 0.01, 1.0)
+    schedule = om.model.TrigSchedule(amplitude=1.0, duration=100.0)
+    dark = om.spectral.dark_mode_exact(om.model.dynamic_matrix_at(params, schedule, float(t)))
+    g1, g2 = schedule.values(t)
+    ideal = np.array([-g2, 0.0, g1]) / math.hypot(g1, g2)
+    assert abs(np.vdot(ideal, dark.vector)) > 0.99
+    assert dark.lambda1.imag < 0.0

@@ -289,3 +289,62 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, omtransfer, omtransfer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _swept(text, parameter, values):
+    return text.split("[sweep]")[0].split("[output]")[0] + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+
+
+FIG2B = (SCENARIO_DIR / "fig2b.cfg").read_text()
+
+# (config text, the bad point and the check it fails)
+BAD_SWEEP_POINTS = {
+    "r": (_swept(MINIMAL_CONVERT, "r", "0.2, -0.5"), "(-0.5,): squeezing r must be non-negative"),
+    "mech_occupation": (
+        _swept(MINIMAL_CONVERT, "mech_occupation", "0.0, -1.0"),
+        "(-1.0,): mech_occupation must be non-negative",
+    ),
+    "kappa1": (_swept(MINIMAL_CONVERT, "kappa1", "0.2, -0.1"), "(-0.1,): kappa1 must be non-negative, got -0.1"),
+    "sigma_omega": (
+        _swept(FIG2B, "sigma_omega", "0.008, -0.2"),
+        "(-0.2,): transmit scenario needs [pulse] sigma_omega > 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_SWEEP_POINTS.values(), ids=BAD_SWEEP_POINTS.keys())
+def test_bad_sweep_point_is_a_config_error(text, message, tmp_path, capsys):
+    path = tmp_path / "swept.cfg"
+    path.write_text(text)
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: invalid sweep point {message}\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_failed_run_writes_no_csv(tmp_path, capsys):
+    # the second point has kappa2 = 0, so its half-width fails after the first point has run
+    path = tmp_path / "fig2a.cfg"
+    path.write_text(_swept((SCENARIO_DIR / "fig2a.cfg").read_text(), "kappa1, kappa2", "0.48:0.27, 0.32:0.0"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "half-width requires kappa1, kappa2 > 0" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_run_prints_no_warning_twice(tmp_path):
+    # every point rebuilds SystemParams above omega_m/10, and parse_config and the
+    # run both materialize each point; the f(0,T) warnings differ from point to point
+    text = _swept(MINIMAL_CONVERT.replace("kappa1 = 0.1", "kappa1 = 0.3\nomega_m = 2"), "kappa1", "0.25, 0.3, 0.35")
+    path = tmp_path / "warn.cfg"
+    path.write_text(text)
+    src = str(Path(omtransfer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    out = subprocess.run(
+        [sys.executable, "-m", "omtransfer.cli", "run", str(path), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    warned = [line for line in out.stderr.splitlines() if "Warning:" in line]
+    assert sum("omega_m/10" in line for line in warned) == 1
+    assert sum("f(0,T)" in line for line in warned) == 2
+    assert len(set(warned)) == len(warned)

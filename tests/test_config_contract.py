@@ -6,6 +6,7 @@ parse_config(serialize_config(c)) == c on valid configs with every schedule
 type, with and without [pulse] and [sweep], and with multi-parameter sweeps.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -177,11 +178,17 @@ def test_malformed_config_message(text, message):
 
 
 def test_sweep_point_errors():
-    cfg = parse_config(_sweep("kappa1, r", "0.1:0.0, -0.1:0.5"))
+    message = "invalid sweep point (-0.1, 0.5): kappa1 must be non-negative, got -0.1"
+    with pytest.raises(ConfigError) as info:
+        parse_config(_sweep("kappa1, r", "0.1:0.0, -0.1:0.5"))
+    assert str(info.value) == message
+    # apply_sweep_point makes the same check on a point added after parsing
+    cfg = parse_config(_sweep("kappa1, r", "0.1:0.0"))
+    cfg = dataclasses.replace(cfg, sweep=Sweep(cfg.sweep.parameters, cfg.sweep.points + ((-0.1, 0.5),)))
     assert apply_sweep_point(cfg, 0).params.kappa1 == 0.1
     with pytest.raises(ConfigError) as info:
         apply_sweep_point(cfg, 1)
-    assert str(info.value) == "invalid sweep point (-0.1, 0.5): kappa1 must be non-negative, got -0.1"
+    assert str(info.value) == message
     with pytest.raises(ConfigError) as info:
         apply_sweep_point(parse_config(BASE), 1)
     assert str(info.value) == "no sweep defined"
@@ -237,10 +244,18 @@ def _params(draw):
     return SystemParams(*rates, n_th, omega_m, detuning, detuning)
 
 
+# swept values stay in each field's valid range: parse_config checks every point
+_SWEEP_VALUES = {
+    "kappa1": _rate, "kappa2": _rate, "gamma_m": _rate, "n_th": st.floats(0.0, 100.0),
+    "r": st.floats(0.0, 3.0), "mech_occupation": st.floats(0.0, 100.0), "sigma_omega": _positive,
+}
+
+
 @st.composite
 def _sweeps(draw):
     names = tuple(draw(st.lists(st.sampled_from(sorted(SWEEPABLE)), min_size=1, max_size=3, unique=True)))
-    points = draw(st.lists(st.tuples(*[_real] * len(names)), min_size=1, max_size=4))
+    values = [_SWEEP_VALUES.get(name, _real) for name in names]
+    points = draw(st.lists(st.tuples(*values), min_size=1, max_size=4))
     return Sweep(names, tuple(points))
 
 

@@ -12,15 +12,14 @@ from omtransfer.model import (
     TanhRampSchedule,
     TrigSchedule,
     adiabaticity,
-    build_dynamic_matrix,
-    coupling_at,
+    drift_stack,
     dynamic_matrix_at,
 )
 
 
 def test_zero_damping_matrix():
     p = SystemParams(kappa1=0.0, kappa2=0.0)
-    m = build_dynamic_matrix(p, 3.0, 4.0).entries
+    m = drift_stack(p.damping_diagonal, 3.0, 4.0)
     assert_allclose(m.imag, np.zeros((3, 3)), atol=0.0)
     expected = np.array([[0.0, 3.0, 0.0], [3.0, 0.0, 4.0], [0.0, 4.0, 0.0]])
     assert_allclose(m.real, expected, atol=0.0)
@@ -29,7 +28,7 @@ def test_zero_damping_matrix():
 def test_fig2_damping_matrix():
     # (kappa1, kappa2, gamma_m) = (0.096, 0.054, 2e-4) -> diagonal -i(0.048, 0.0001, 0.027)
     p = SystemParams(kappa1=0.096, kappa2=0.054, gamma_m=2e-4)
-    m = build_dynamic_matrix(p, 4.0, 3.0).entries
+    m = drift_stack(p.damping_diagonal, 4.0, 3.0)
     assert_allclose(np.diag(m), [-0.048j, -0.0001j, -0.027j], rtol=0.0, atol=1e-15)
     assert m[0, 1] == m[1, 0] == 4.0
     assert m[1, 2] == m[2, 1] == 3.0
@@ -41,20 +40,13 @@ def test_matrix_structure_random_draws():
         k1, k2, gm = rng.uniform(0.0, 2.0, size=3)
         g1, g2 = rng.uniform(-5.0, 5.0, size=2)
         p = SystemParams(kappa1=k1, kappa2=k2, gamma_m=gm)
-        m = build_dynamic_matrix(p, g1, g2).entries
+        m = drift_stack(p.damping_diagonal, g1, g2)
         assert_allclose(m, m.T, atol=0.0)  # complex symmetric by construction
         off = m - np.diag(np.diag(m))
         assert_allclose(off.imag, np.zeros((3, 3)), atol=0.0)
         assert_allclose(np.diag(m).imag, [-k1 / 2, -gm / 2, -k2 / 2], atol=0.0)
         assert_allclose(np.diag(m).real, np.zeros(3), atol=0.0)
         assert m[0, 2] == m[2, 0] == 0.0
-
-
-def test_damping_matrix_exposed():
-    p = SystemParams(kappa1=0.4, kappa2=0.1, gamma_m=0.01)
-    dm = build_dynamic_matrix(p, 1.0, 1.0)
-    assert_allclose(dm.damping_matrix, np.diag([0.4, 0.01, 0.1]))
-    assert_allclose(dm.sqrt_damping @ dm.sqrt_damping, dm.damping_matrix)
 
 
 def test_params_validation():
@@ -81,26 +73,29 @@ def test_two_photon_resonance_gate():
 
 def test_trig_schedule_endpoints():
     sched = TrigSchedule(5.0, math.pi / 2)
-    assert_allclose(coupling_at(sched, 0.0), (0.0, -5.0, 5.0, 0.0), atol=1e-15)
-    assert_allclose(coupling_at(sched, math.pi / 2), (5.0, 0.0, 0.0, 5.0), atol=1e-15)
+    assert_allclose(sched.values(0.0) + sched.derivatives(0.0), (0.0, -5.0, 5.0, 0.0), atol=1e-15)
+    assert_allclose(
+        sched.values(math.pi / 2) + sched.derivatives(math.pi / 2), (5.0, 0.0, 0.0, 5.0), atol=1e-15
+    )
     # generalized duration reproduces the same shape
     sched2 = TrigSchedule(5.0, 3.0)
-    assert_allclose(coupling_at(sched2, 0.0)[:2], (0.0, -5.0), atol=1e-15)
-    assert_allclose(coupling_at(sched2, 3.0)[:2], (5.0, 0.0), atol=1e-15)
+    assert_allclose(sched2.values(0.0), (0.0, -5.0), atol=1e-15)
+    assert_allclose(sched2.values(3.0), (5.0, 0.0), atol=1e-15)
 
 
 def test_constant_schedule():
     sched = ConstantCoupling(4.0, 3.0)
     for t in (0.0, 1.0, 123.0):
-        assert coupling_at(sched, t) == (4.0, 3.0, 0.0, 0.0)
+        assert sched.values(t) + sched.derivatives(t) == (4.0, 3.0, 0.0, 0.0)
 
 
 def test_domain_error():
     sched = TrigSchedule(5.0, math.pi / 2)
-    with pytest.raises(ModelError):
-        coupling_at(sched, -0.01)
-    with pytest.raises(ModelError):
-        coupling_at(sched, math.pi / 2 + 0.01)
+    for t in (-0.01, math.pi / 2 + 0.01):
+        with pytest.raises(ModelError):
+            sched.values(t)
+        with pytest.raises(ModelError):
+            sched.derivatives(t)
 
 
 @pytest.mark.parametrize(
@@ -118,7 +113,7 @@ def test_derivatives_match_finite_differences(sched):
         t = rng.uniform(0.05, 0.95) * sched.duration
         g1p, g2p = sched.values(t + h)
         g1m, g2m = sched.values(t - h)
-        _, _, d1, d2 = coupling_at(sched, t)
+        d1, d2 = sched.derivatives(t)
         assert abs(d1 - (g1p - g1m) / (2 * h)) < 1e-6 * scale
         assert abs(d2 - (g2p - g2m) / (2 * h)) < 1e-6 * scale
 
@@ -156,11 +151,12 @@ def test_adiabaticity_zero_g0_error():
         adiabaticity(sched, n_samples=999)
 
 
-def test_dynamic_matrix_at_time_tag():
+def test_dynamic_matrix_at_couplings():
     p = SystemParams(kappa1=0.1, kappa2=0.2)
     sched = TrigSchedule(5.0, math.pi / 2)
     m = dynamic_matrix_at(p, sched, 0.3)
-    assert m.time_tag == 0.3
+    assert m.shape == (3, 3) and m.dtype == complex
     g1, g2 = sched.values(0.3)
-    assert m.g1 == pytest.approx(g1)
-    assert m.g2 == pytest.approx(g2)
+    assert m[0, 1] == m[1, 0] == g1
+    assert m[1, 2] == m[2, 1] == g2
+    assert_allclose(np.diag(m), [-0.05j, 0.0, -0.1j], rtol=0.0, atol=0.0)

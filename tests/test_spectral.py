@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from omtransfer.model import ConstantCoupling, SystemParams, TrigSchedule, build_dynamic_matrix
-from omtransfer.model import TanhRampSchedule, dynamic_matrix_at
+from omtransfer.model import ConstantCoupling, SystemParams, TrigSchedule
+from omtransfer.model import TanhRampSchedule, drift_stack, dynamic_matrix_at
 from omtransfer.spectral import (
     SpectralError,
     adiabatic_correction_norm,
@@ -17,12 +17,16 @@ from omtransfer.spectral import (
 )
 
 
+def drift(p, g1, g2):
+    return drift_stack(p.damping_diagonal, g1, g2)
+
+
 def checked_eigensystem(m):
     es = eigensystem(m)
-    scale = np.linalg.norm(m.entries)
+    scale = np.linalg.norm(m)
     for i in range(3):
         v = es.vectors[:, i]
-        assert np.linalg.norm(m.entries @ v - es.lambdas[i] * v) < 1e-10 * max(scale, 1.0)
+        assert np.linalg.norm(m @ v - es.lambdas[i] * v) < 1e-10 * max(scale, 1.0)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         # phase convention: largest-modulus component real and positive
         top = v[int(np.argmax(np.abs(v)))]
@@ -33,14 +37,14 @@ def checked_eigensystem(m):
 
 def test_zero_damping_spectrum():
     p = SystemParams(kappa1=0.0, kappa2=0.0)
-    es = checked_eigensystem(build_dynamic_matrix(p, 3.0, 4.0))
+    es = checked_eigensystem(drift(p, 3.0, 4.0))
     assert_allclose(sorted(es.lambdas.real), [-5.0, 0.0, 5.0], atol=1e-12 * 5.0)
     assert_allclose(es.lambdas.imag, np.zeros(3), atol=1e-12 * 5.0)
 
 
 def test_diagonal_matrix_spectrum():
     p = SystemParams(kappa1=0.1, kappa2=0.2, gamma_m=0.3)
-    es = checked_eigensystem(build_dynamic_matrix(p, 0.0, 0.0))
+    es = checked_eigensystem(drift(p, 0.0, 0.0))
     got = sorted(es.lambdas, key=lambda z: z.imag)
     assert_allclose(got, [-0.15j, -0.1j, -0.05j], atol=1e-14)
 
@@ -48,17 +52,17 @@ def test_diagonal_matrix_spectrum():
 def test_eigenvalues_against_companion_oracle():
     # independent oracle: numpy's companion-matrix root finder on det(M - x I)
     p = SystemParams(kappa1=0.064 * 5, kappa2=0.036 * 5, gamma_m=2e-4 * 5)
-    m = build_dynamic_matrix(p, 4.0, 3.0)
+    m = drift(p, 4.0, 3.0)
     es = checked_eigensystem(m)
-    tr = np.trace(m.entries)
+    tr = np.trace(m)
     s2 = (
-        m.entries[0, 0] * m.entries[1, 1]
-        - m.entries[0, 1] ** 2
-        + m.entries[0, 0] * m.entries[2, 2]
-        + m.entries[1, 1] * m.entries[2, 2]
-        - m.entries[1, 2] ** 2
+        m[0, 0] * m[1, 1]
+        - m[0, 1] ** 2
+        + m[0, 0] * m[2, 2]
+        + m[1, 1] * m[2, 2]
+        - m[1, 2] ** 2
     )
-    det = np.linalg.det(m.entries)
+    det = np.linalg.det(m)
     oracle = np.roots([1.0, -tr, s2, -det])
     for lam in es.lambdas:
         assert min(abs(lam - mu) for mu in oracle) < 1e-10
@@ -70,7 +74,7 @@ def test_trace_identity_random_draws():
         k1, k2, gm = rng.uniform(0.0, 1.0, size=3)
         g1, g2 = rng.uniform(-4.0, 4.0, size=2)
         p = SystemParams(kappa1=k1, kappa2=k2, gamma_m=gm)
-        es = eigensystem(build_dynamic_matrix(p, g1, g2))
+        es = eigensystem(drift(p, g1, g2))
         expected = -0.5j * (k1 + k2 + gm)
         scale = max(abs(expected), 1.0)
         assert abs(es.lambdas.sum() - expected) < 1e-12 * scale
@@ -78,16 +82,16 @@ def test_trace_identity_random_draws():
 
 def test_dark_mode_limits():
     p = SystemParams(kappa1=0.0, kappa2=0.0)
-    dm = dark_mode_exact(build_dynamic_matrix(p, 0.0, -5.0))
+    dm = dark_mode_exact(drift(p, 0.0, -5.0))
     assert_allclose(dm.vector, [1.0, 0.0, 0.0], atol=1e-12)
-    dm = dark_mode_exact(build_dynamic_matrix(p, 5.0, 0.0))
+    dm = dark_mode_exact(drift(p, 5.0, 0.0))
     assert_allclose(dm.vector, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_dark_mode_mechanical_weight_vs_prediction():
     # exact eigenvector as oracle for the first-order mechanical weight
     p = SystemParams(kappa1=0.1, kappa2=0.02)
-    dm = dark_mode_exact(build_dynamic_matrix(p, 1.0, 1.0))
+    dm = dark_mode_exact(drift(p, 1.0, 1.0))
     predicted = ((0.1 - 0.02) * 1.0 * 1.0 / (2.0 * 2.0**1.5)) ** 2
     assert dm.mechanical_weight == pytest.approx(predicted, rel=2e-3)
 
@@ -120,7 +124,7 @@ def test_perturbative_matches_exact_to_second_order():
         ratio = max(k1, k2, gm) / g0
         p = SystemParams(kappa1=k1, kappa2=k2, gamma_m=gm)
         pert = dark_mode_perturbative(p, g1, g2)
-        exact = dark_mode_exact(build_dynamic_matrix(p, g1, g2))
+        exact = dark_mode_exact(drift(p, g1, g2))
         assert abs(pert.lambda1 - exact.lambda1) < 5.0 * ratio**2 * g0
         assert np.linalg.norm(pert.vector - exact.vector) < 5.0 * ratio**2
         assert exact.lambda1.imag <= 1e-15
@@ -193,9 +197,9 @@ def test_exceptional_point_rejected_and_its_neighbours_resolved():
     # kappa1 = 0.4, g2 = 0: the (a1, bm) pair has the exceptional point g1 = 0.1
     p = SystemParams(kappa1=0.4, kappa2=0.0, gamma_m=0.0)
     with pytest.raises(SpectralError, match="exceptional point"):
-        eigensystem(build_dynamic_matrix(p, 0.1, 0.0))
+        eigensystem(drift(p, 0.1, 0.0))
     for g1 in (0.1 * (1.0 + 1e-9), 0.1 * (1.0 + 1e-4)):
-        es = checked_eigensystem(build_dynamic_matrix(p, g1, 0.0))
+        es = checked_eigensystem(drift(p, g1, 0.0))
         split = math.sqrt(g1 * g1 - 0.01)
         assert_allclose(es.lambdas, [-split - 0.1j, 0.0, split - 0.1j], rtol=0.0, atol=1e-12)
 
@@ -223,7 +227,7 @@ def test_sweep_properties(sweep):
     systems = eigensystem_sweep(params, schedule, times)
     trace = -0.5j * (params.kappa1 + params.kappa2 + params.gamma_m)
     for t, es in zip(times, systems):
-        m = dynamic_matrix_at(params, schedule, t).entries
+        m = dynamic_matrix_at(params, schedule, t)
         scale = max(np.linalg.norm(m), 1.0)
         residuals = np.linalg.norm(m @ es.vectors - es.vectors * es.lambdas, axis=0)
         assert residuals.max() <= 1e-10 * scale

@@ -290,23 +290,6 @@ def test_pulse_spectrum_width_and_scale():
     assert np.abs(amps).max() == pytest.approx(1.0 / sigma, rel=1e-6)
 
 
-def test_transmission_report_fields():
-    from omtransfer.transmission import transmission_report
-
-    params = fig2_params(0.064, 0.032)
-    p_in = gaussian_pulse(0.2)
-    p_out = transmit_pulse_freq(p_in, params, 4.0, 3.0)
-    rep = transmission_report(params, 4.0, 3.0, p_in, p_out)
-    assert 0.0 < rep.pulse_fidelity <= 1.0
-    assert rep.half_width_numeric > 0.0
-    assert rep.t31_resonant == pytest.approx(
-        t31_resonant(params, 4.0, 3.0).value
-    )
-    assert rep.half_width_analytic == pytest.approx(
-        half_width(params, 4.0, 3.0)[0]
-    )
-
-
 def test_csv_exports():
     p = gaussian_pulse(0.2, n_points=64)
     text = pulse_to_csv(p)
