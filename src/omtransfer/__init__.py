@@ -5,7 +5,7 @@ conversion via the mechanical dark mode, and photon-pulse transmission and
 engineering between the input-output channels.
 """
 
-from .adiabatic import TransferReport, analytic_fidelity, f_integral, fs_bound, mean_transfer_amplitude
+from .adiabatic import TransferReport, analytic_fidelity, f_integral, fs_bound
 from .config import ScenarioConfig, parse_config, serialize_config
 from .gaussian import (
     SingleModeGaussian,
@@ -17,7 +17,6 @@ from .gaussian import (
     integrate,
     integrate_batch,
     make_squeezed_coherent,
-    moment_rhs,
     reduce_to_mode,
 )
 from .model import (

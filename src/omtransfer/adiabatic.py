@@ -36,12 +36,16 @@ __all__ = [
     "AdiabaticError",
     "TransferReport",
     "f_integral",
-    "mean_transfer_amplitude",
     "fs_bound",
     "analytic_fidelity",
 ]
 
-_MAX_PANELS = 2**20
+_MAX_PANELS = 2**14
+# 16-node Gauss-Lobatto rule on [-1, 1]: both ends and the 14 roots of P15',
+# weighted 2 / (16 * 15 * P15(x)^2); exact for polynomials of degree 29
+_P15 = np.polynomial.legendre.Legendre.basis(15)
+_NODES = np.concatenate([[-1.0], _P15.deriv().roots(), [1.0]])
+_WEIGHTS = 2.0 / (16 * 15 * _P15(_NODES) ** 2)
 
 
 class AdiabaticError(RuntimeError):
@@ -50,11 +54,7 @@ class AdiabaticError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransferReport:
-    """Scalar summary of one adiabatic conversion.
-
-    f2_approximate marks reports where F2 was evaluated with the r = 0
-    overlap function because the squeezed-input one is not available.
-    """
+    """Scalar summary of one adiabatic conversion."""
 
     f0T: float
     fs: float
@@ -62,7 +62,6 @@ class TransferReport:
     F2: float
     F: float
     mean_ratio: complex
-    f2_approximate: bool = False
 
 
 def _decay_rate(params: SystemParams, schedule: CouplingSchedule, t: np.ndarray) -> np.ndarray:
@@ -74,34 +73,6 @@ def _decay_rate(params: SystemParams, schedule: CouplingSchedule, t: np.ndarray)
     return (params.kappa2 * g1 * g1 + params.kappa1 * g2 * g2) / (2.0 * g0sq)
 
 
-def _simpson(a, fa, m, fm, b, fb):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _refine(params, schedule, panels: np.ndarray, eps: float, budget: int):
-    """One level of f_integral: (accepted mask, Richardson value, halves of split panels).
-
-    halves holds each split panel's left then right half, in panel order; more
-    than budget of them raise before they are built.  Returning frees the
-    level's temporaries before the next level is evaluated.
-    """
-    a, fa, m, fm, b, fb, whole = panels
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = _decay_rate(params, schedule, np.array([lm, rm]))
-    left = _simpson(a, fa, lm, flm, m, fm)
-    right = _simpson(m, fm, rm, frm, b, fb)
-    pair = left + right
-    accepted = np.abs(pair - whole) <= 15.0 * eps
-    split = ~accepted
-    n_split = int(np.count_nonzero(split))
-    if 2 * n_split > budget:
-        raise AdiabaticError(f"adaptive Simpson did not converge within {_MAX_PANELS} panels")
-    halves = np.empty((7, n_split, 2))
-    halves[..., 0] = [x[split] for x in (a, fa, lm, flm, m, fm, left)]
-    halves[..., 1] = [x[split] for x in (m, fm, rm, frm, b, fb, right)]
-    return accepted, pair + (pair - whole) / 15.0, halves.reshape(7, -1)
-
-
 def f_integral(
     params: SystemParams,
     schedule: CouplingSchedule,
@@ -109,45 +80,36 @@ def f_integral(
     T: float,
     tol: float = 1e-10,
 ) -> float:
-    """Dark-mode decay exponent f(t,T) by adaptive Simpson quadrature.
+    """Dark-mode decay exponent f(t,T) by composite 16-node Gauss-Lobatto quadrature.
 
-    A panel is accepted when its two halves' Simpson sum is within 15 eps of
-    its own, with eps = tol / 2^level, and halved otherwise.  All open panels
-    of one level are evaluated in one schedule call, and the accepted values
-    are summed pairwise back up the panel tree, in the recursive rule's order.
-    At most _MAX_PANELS panels are made, and a level that would pass the cap
-    raises before its halves are built.
+    The interval edges are t, T and every schedule breakpoint strictly between
+    them, where the integrand may have a kink.  Each interval is split into n
+    equal panels for n = 1, 2, 4, ..., with all nodes of one n evaluated in
+    one schedule call, until two successive sums differ by at most tol; the
+    finer sum is returned.  Doubling past _MAX_PANELS panels in all, or past
+    4 per interval on schedules with more breakpoints, raises.
+    The Lobatto nodes include every panel end, so a ramp narrower than a panel
+    at an interval end still moves the sum, and a g0 vanishing there raises.
     """
     if t > T:
         raise AdiabaticError(f"need t <= T, got t = {t}, T = {T}")
     if t == T:
         return 0.0
 
-    m = 0.5 * (t + T)
-    fa, fm, fb = _decay_rate(params, schedule, np.array([t, m, T]))
-    # one column per open panel: a, f(a), m, f(m), b, f(b) and its Simpson estimate
-    panels = np.array([[t], [fa], [m], [fm], [T], [fb], [_simpson(t, fa, m, fm, T, fb)]])
-    eps, count, levels = tol, 1, []
-    while panels.size:
-        accepted, value, panels = _refine(params, schedule, panels, eps, _MAX_PANELS - count)
-        levels.append((accepted, value))
-        count += panels.shape[1]
-        eps /= 2.0
-    total = np.empty(0)
-    for accepted, value in reversed(levels):
-        value[~accepted] = total[0::2] + total[1::2]
-        total = value
-    return float(total[0])
-
-
-def mean_transfer_amplitude(
-    alpha0: complex,
-    params: SystemParams,
-    schedule: CouplingSchedule,
-    T: float,
-) -> complex:
-    """Adiabatic-limit mean of the target cavity, exp(-f(0,T)) * alpha0."""
-    return cmath.exp(-f_integral(params, schedule, 0.0, T)) * alpha0
+    edges = np.array([t, *(b for b in getattr(schedule, "times", ()) if t < b < T), T])
+    n, previous = 1, None
+    while True:
+        grid = np.linspace(edges[:-1], edges[1:], n + 1, axis=1)
+        lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+        half = 0.5 * (hi - lo)
+        nodes = lo[:, None] + half[:, None] * (1.0 + _NODES)
+        nodes[:, -1] = hi  # lo + (hi - lo) may round past hi, out of the schedule's domain
+        total = float(half @ (_decay_rate(params, schedule, nodes) @ _WEIGHTS))
+        if previous is not None and abs(total - previous) <= tol:
+            return total
+        n, previous = 2 * n, total
+        if n > max(_MAX_PANELS // (edges.size - 1), 4):
+            raise AdiabaticError(f"Gauss-Lobatto panels did not converge within {half.size} panels")
 
 
 def fs_bound(params: SystemParams, schedule: CouplingSchedule, T: float) -> float:
@@ -179,10 +141,10 @@ def analytic_fidelity(
 ) -> TransferReport:
     """First-order conversion fidelity F = F1 * F2 for a displaced squeezed input.
 
-    Valid for f(0,T) < 0.3; warns above 0.1.  For r != 0 the F2 factor uses
-    the r = 0 overlap function y = 2|alpha|^2 and the report is flagged
-    approximate; the numeric moment integrator is the authoritative path
-    for squeezed inputs.
+    f(0,T) comes from f_integral at its default tol, 1e-10 absolute.  Valid
+    for f(0,T) < 0.3; warns above 0.1.  For r != 0 the F2 factor still uses
+    the r = 0 overlap function y = 2|alpha|^2; the numeric moment integrator
+    is the authoritative path for squeezed inputs.
     """
     f = f_integral(params, schedule, 0.0, T)
     if f >= 0.3:
@@ -212,5 +174,4 @@ def analytic_fidelity(
         F2=F2,
         F=F1 * F2,
         mean_ratio=cmath.exp(-f),
-        f2_approximate=(r != 0.0),
     )

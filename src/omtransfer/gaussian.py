@@ -23,11 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
-from .csvio import build_csv
 from .model import CouplingSchedule, SystemParams, drift_stack
 
 __all__ = [
@@ -35,18 +33,14 @@ __all__ = [
     "PhysicalityError",
     "SingleModeGaussian",
     "ThreeModeGaussianState",
-    "MomentDerivative",
     "Trajectory",
     "make_squeezed_coherent",
     "embed_initial",
-    "moment_rhs",
     "integrate",
     "integrate_batch",
     "reduce_to_mode",
-    "quadrature_covariance",
     "gaussian_fidelity",
     "fock_oracle_fidelity",
-    "trajectory_to_csv",
 ]
 
 
@@ -91,20 +85,6 @@ class SingleModeGaussian:
     @property
     def quadrature_mean(self) -> np.ndarray:
         return np.array([2.0 * self.mean.real, 2.0 * self.mean.imag])
-
-
-def quadrature_covariance(normal: np.ndarray, anomalous: np.ndarray) -> np.ndarray:
-    """6x6 symmetrized quadrature covariance from the (N, A) blocks."""
-    sigma = np.empty((6, 6))
-    for j in range(3):
-        for k in range(3):
-            njk, ajk = normal[j, k], anomalous[j, k]
-            delta = 1.0 if j == k else 0.0
-            sigma[2 * j, 2 * k] = 2.0 * ajk.real + 2.0 * njk.real + delta
-            sigma[2 * j + 1, 2 * k + 1] = -2.0 * ajk.real + 2.0 * njk.real + delta
-            sigma[2 * j, 2 * k + 1] = 2.0 * ajk.imag + 2.0 * njk.imag
-            sigma[2 * j + 1, 2 * k] = 2.0 * ajk.imag - 2.0 * njk.imag
-    return sigma
 
 
 def _first_fault(
@@ -176,12 +156,6 @@ class ThreeModeGaussianState:
         return state
 
 
-class MomentDerivative(NamedTuple):
-    mean: np.ndarray
-    normal: np.ndarray
-    anomalous: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled moment trajectory including both endpoints."""
@@ -249,20 +223,6 @@ def _diffusion(params_seq) -> np.ndarray:
     diffusion = np.zeros((len(params_seq), 3, 3), dtype=complex)
     diffusion[:, 1, 1] = [p.gamma_m * p.n_th for p in params_seq]
     return diffusion
-
-
-def moment_rhs(
-    t: float,
-    state: ThreeModeGaussianState,
-    params: SystemParams,
-    schedule: CouplingSchedule,
-) -> MomentDerivative:
-    """Time derivative of (mean, N, A) under the Langevin moment equations."""
-    m = drift_stack(params.damping_diagonal, *schedule.values(min(max(t, 0.0), schedule.duration)))
-    src = np.concatenate([state.mean, state.normal.ravel(), state.anomalous.ravel()])[None]
-    out, work = np.empty_like(src), np.empty((2, 1, 3, 3), dtype=complex)
-    _stage_derivative(-1j * m, 1j * m.conj(), _diffusion([params]), _views(src), _views(out), work)
-    return MomentDerivative(out[0, :3], out[0, 3:12].reshape(3, 3), out[0, 12:].reshape(3, 3))
 
 
 def _peak_coupling(schedule: CouplingSchedule, t_final: float) -> float:
@@ -535,16 +495,3 @@ def fock_oracle_fidelity(
     fid = float(np.trace(inner).real) ** 2
     return min(max(fid, 0.0), 1.0)
 
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV text: t, Re/Im of all means, N diagonal, Re/Im of the A diagonal."""
-    modes = ("a1", "bm", "a2")
-    header = ["t"] + [f"{part}_{name}" for name in modes for part in ("re", "im")]
-    header += [f"n_{name}" for name in modes]
-    header += [f"{part}_m_{name}" for name in modes for part in ("re", "im")]
-    mean = np.array([st.mean for st in traj.states])
-    normal = np.array([st.normal.diagonal().real for st in traj.states])
-    anomalous = np.array([st.anomalous.diagonal() for st in traj.states])
-    # complex (S, 3) columns viewed as interleaved (re, im) pairs, the header's order
-    table = np.column_stack([traj.times, mean.view(float), normal, anomalous.view(float)])
-    return build_csv(header, table)

@@ -18,6 +18,7 @@ couple only through the mechanical mode (entries (1,3) and (3,1) vanish).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,6 +39,22 @@ __all__ = [
 
 class ModelError(ValueError):
     """Invalid parameters or schedule evaluation outside its domain."""
+
+
+def _outside_caller() -> int:
+    """warnings stacklevel of the first frame outside this package and dataclasses.
+
+    As with Python 3.12's skip_file_prefixes, a warning then names the caller's
+    line, and repeats of it from different internal call sites print once.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back:
+        # __spec__ names a module run by `python -m` too; generated __init__s run in their class's module
+        spec = frame.f_globals.get("__spec__")
+        if getattr(spec, "name", "").split(".")[0] not in (__package__, "dataclasses"):
+            break
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,7 @@ class SystemParams:
                 warnings.warn(
                     "damping rates exceed omega_m/10; the rotating-wave model "
                     "is only marginally valid",
-                    stacklevel=2,
+                    stacklevel=_outside_caller(),
                 )
         if self.detuning1 is not None or self.detuning2 is not None:
             if self.omega_m is None or self.detuning1 is None or self.detuning2 is None:

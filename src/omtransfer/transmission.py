@@ -83,20 +83,6 @@ class Pulse:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(omega, a(omega)) with a(omega) = int dt/sqrt(2pi) a(t) e^{i omega t}."""
-        n = self.times.size
-        omegas = 2.0 * math.pi * np.fft.fftfreq(n, d=self.dt)
-        amps = (
-            n
-            * self.dt
-            / math.sqrt(2.0 * math.pi)
-            * np.fft.ifft(self.amplitudes)
-            * np.exp(1j * omegas * self.times[0])
-        )
-        order = np.argsort(omegas)
-        return omegas[order], amps[order]
-
 
 @dataclass(frozen=True, eq=False)
 class TransmissionSpectrum:
@@ -232,7 +218,8 @@ def half_width(params: SystemParams, g1: float, g2: float) -> tuple[float, float
             "no half-width crossing in (0, g0/2]; outside the validity regime"
         )
     lo, hi = ws[crossings[0]], ws[crossings[0] + 1]
-    while hi - lo > 1e-10:
+    # relative past 1: an absolute 1e-10 is below the float spacing near a crossing at ~1e6
+    while hi - lo > 1e-10 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
             lo = mid

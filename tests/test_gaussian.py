@@ -17,10 +17,7 @@ from omtransfer.gaussian import (
     integrate,
     integrate_batch,
     make_squeezed_coherent,
-    quadrature_covariance,
-    moment_rhs,
     reduce_to_mode,
-    trajectory_to_csv,
 )
 from omtransfer.model import ConstantCoupling, SystemParams, TrigSchedule
 
@@ -107,28 +104,33 @@ def test_embed_initial():
     assert st.anomalous[0, 0] == pytest.approx(sq.m_an)
 
 
-def test_moment_rhs_mechanical_relaxation():
+def test_integrate_mechanical_relaxation():
+    # uncoupled mechanics relaxes to its bath: n(t) = n_th + (n0 - n_th) e^{-gamma_m t}
     p = SystemParams(kappa1=0.0, kappa2=0.0, gamma_m=0.5, n_th=3.0)
     n0 = 1.25
     st = ThreeModeGaussianState(
         mean=np.zeros(3), normal=np.diag([0.0, n0, 0.0]), anomalous=np.zeros((3, 3))
     )
-    d = moment_rhs(0.0, st, p, ConstantCoupling(0.0, 0.0))
-    assert d.normal[1, 1] == pytest.approx(0.5 * (3.0 - n0))
+    traj = integrate(st, p, ConstantCoupling(0.0, 0.0), 4.0, n_samples=21)
+    got = [s.normal[1, 1].real for s in traj.states]
+    assert_allclose(got, 3.0 + (n0 - 3.0) * np.exp(-0.5 * traj.times), rtol=1e-12)
 
 
-def test_moment_rhs_conserves_excitation_without_damping():
+def test_integrate_conserves_excitation_without_damping():
     p = SystemParams(kappa1=0.0, kappa2=0.0)
     st = embed_initial(make_squeezed_coherent(1.0, 0.4, 0.3), 2.0)
-    d = moment_rhs(0.2, st, p, FIG1)
-    assert np.trace(d.normal) == pytest.approx(0.0, abs=1e-14)
+    traj = integrate(st, p, FIG1, FIG1.duration, n_samples=21)
+    traces = [np.trace(s.normal).real for s in traj.states]
+    assert_allclose(traces, np.trace(st.normal).real, rtol=1e-12)
 
 
-def test_moment_rhs_decoupled_decay():
+def test_integrate_decoupled_decay():
+    # with no coupling <a1> decays as alpha0 e^{-kappa1 t / 2}
     p = SystemParams(kappa1=0.3, kappa2=0.0)
     st = embed_initial(make_squeezed_coherent(2.0, 0.0, 0.0), 0.0)
-    d = moment_rhs(0.0, st, p, ConstantCoupling(0.0, 0.0))
-    assert d.mean[0] == pytest.approx(-0.15 * 2.0)
+    traj = integrate(st, p, ConstantCoupling(0.0, 0.0), 4.0, n_samples=21)
+    got = [s.mean[0] for s in traj.states]
+    assert_allclose(got, 2.0 * np.exp(-0.15 * traj.times), rtol=1e-12, atol=0.0)
 
 
 def test_integrate_cavity_decay():
@@ -281,6 +283,20 @@ def test_physicality_error_during_integration():
         ThreeModeGaussianState(mean=np.zeros(3), normal=bad_normal, anomalous=bad_anom)
 
 
+def quadrature_covariance(normal, anomalous):
+    """6x6 symmetrized quadrature covariance of (x1, p1, xm, pm, x2, p2) from the (N, A) blocks."""
+    sigma = np.empty((6, 6))
+    for j in range(3):
+        for k in range(3):
+            njk, ajk = normal[j, k], anomalous[j, k]
+            delta = 1.0 if j == k else 0.0
+            sigma[2 * j, 2 * k] = 2.0 * ajk.real + 2.0 * njk.real + delta
+            sigma[2 * j + 1, 2 * k + 1] = -2.0 * ajk.real + 2.0 * njk.real + delta
+            sigma[2 * j, 2 * k + 1] = 2.0 * ajk.imag + 2.0 * njk.imag
+            sigma[2 * j + 1, 2 * k] = 2.0 * ajk.imag - 2.0 * njk.imag
+    return sigma
+
+
 def test_uncertainty_test_matches_quadrature_covariance():
     # the validator tests the (da, da^+) Gram matrix; it must accept exactly
     # the states whose quadrature covariance obeys sigma + i Omega >= 0
@@ -369,19 +385,6 @@ def test_integrate_batch_rejects_bad_input():
         integrate_batch([st, st], [p], FIG1, math.pi / 2)
     with pytest.raises(GaussianError):
         integrate_batch([st], [p], FIG1, 0.0)
-
-
-def test_trajectory_csv_layout():
-    p = SystemParams(kappa1=0.1, kappa2=0.0)
-    st0 = embed_initial(make_squeezed_coherent(1.0, 0.2, 0.0), 0.5)
-    traj = integrate(st0, p, FIG1, math.pi / 2, n_samples=11)
-    text = trajectory_to_csv(traj)
-    lines = text.strip().split("\n")
-    header = lines[0].split(",")
-    assert header[0] == "t"
-    assert len(header) == 16
-    assert len(lines) - 1 == len(traj.states)
-    assert text.endswith("\n")
 
 
 # -- non-finite moments and chunked validation -------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,14 @@ def test_params_validation():
         SystemParams(kappa1=0.5, kappa2=0.0, omega_m=1.0)
     # comfortably sideband-resolved: no warning
     SystemParams(kappa1=0.05, kappa2=0.05, gamma_m=0.01, omega_m=1.0)
+
+
+def test_sideband_warning_names_the_caller():
+    # not the dataclass-generated __init__ ("<string>") nor dataclasses.replace
+    with pytest.warns(UserWarning, match="marginally valid") as record:
+        params = SystemParams(kappa1=0.5, kappa2=0.0, omega_m=1.0)
+        dataclasses.replace(params, kappa2=0.1)
+    assert [w.filename for w in record] == [__file__, __file__]
 
 
 def test_two_photon_resonance_gate():
