@@ -66,7 +66,10 @@ class SingleModeGaussian:
     def __post_init__(self) -> None:
         if self.n_ex < 0:
             raise GaussianError(f"n_ex must be non-negative, got {self.n_ex}")
-        if self.n_ex * (self.n_ex + 1.0) < abs(self.m_an) ** 2 - 1e-10:
+        # 2 min eig of the Gram matrix [[1 + n, m], [m*, n]], bounded as in _first_fault:
+        # relative to the moments' size, since rounding grows with n for strong squeezing
+        defect = 2.0 * self.n_ex + 1.0 - math.sqrt(1.0 + 4.0 * abs(self.m_an) ** 2)
+        if defect < -1e-8 * max(1.0, self.n_ex, abs(self.m_an)):
             raise PhysicalityError(
                 f"unphysical moments: n(n+1) = {self.n_ex * (self.n_ex + 1):.6g} "
                 f"< |m|^2 = {abs(self.m_an) ** 2:.6g}"
@@ -226,7 +229,9 @@ def _diffusion(params_seq) -> np.ndarray:
 
 
 def _peak_coupling(schedule: CouplingSchedule, t_final: float) -> float:
-    return float(np.abs(schedule.values(t_final * np.arange(257) / 256.0)).max())
+    # each |g_i| of a piecewise-linear schedule peaks at a breakpoint, which the grid may step over
+    breaks = [b for b in getattr(schedule, "times", ()) if 0.0 < b < t_final]
+    return float(np.abs(schedule.values(np.append(t_final * np.arange(257) / 256.0, breaks))).max())
 
 
 def _step_count(params: SystemParams, g_max: float, t_final: float) -> int:
@@ -319,11 +324,11 @@ def integrate(
     """Fixed-step RK4 integration of the moment equations.
 
     The step is h = min(T/2000, 0.01, 0.01/max(kappa1, kappa2, gamma_m, g)),
-    with g the peak coupling on 257 grid times; fixed stepping keeps
-    trajectories reproducible.  N and A are symmetrized once on load: the
-    exact blocks embed_initial builds stay as they are, and an input
-    Hermitian only within the validator's 1e-8 loses its anti-Hermitian
-    residue.  Stages are then stacked products (see
+    with g the peak coupling on 257 grid times and the schedule's breakpoints;
+    fixed stepping keeps trajectories reproducible.  N and A are symmetrized
+    once on load: the exact blocks embed_initial builds stay as they are, and
+    an input Hermitian only within the validator's 1e-8 loses its
+    anti-Hermitian residue.  Stages are then stacked products (see
     _stage_derivative), bitwise the plain formulas, and every recorded
     sample is validated as a state, about 256 samples per stacked validator
     call; a failure names the time of the first faulty sample.

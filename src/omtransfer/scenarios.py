@@ -1,12 +1,14 @@
-"""Scenario execution: sweeps, CSV artifacts, and summary records.
+"""Scenario execution: one point loop and one writer.
 
-Each run produces deterministic CSV files (see ``csvio``) plus one summary
-record per sweep point.  A conversion sweep integrates all its points, and
+``run_scenario`` runs every scenario kind through one loop over its sweep
+points.  The kind's function (``_convert``, ``_spectrum`` or ``_pulse``)
+gives each point's own files, table row and summary scalars; the loop adds
+the sweep values and builds the summary records.  After the last point it
+formats the table CSV, if the kind has one, and writes every file, so a
+failed run writes none.  A conversion sweep integrates all its points, and
 their quiet-bath twins when ``delta_f`` is set, as one batched moment
-integration; spectrum and pulse runs take their points in one loop, each
-point computed and formatted in turn.  Files are written only after the
-last point, so a failed run writes none.  Everything runs in one thread
-and in sweep order, so repeated runs are byte-identical.
+integration.  Everything runs in one thread in sweep order, so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -62,17 +64,8 @@ def _point_label(config: ScenarioConfig, idx: int) -> str:
     return f"{config.scenario}[{inner}]"
 
 
-def _base_name(config: ScenarioConfig) -> str:
-    base = config.output_path or config.scenario
-    if base.endswith(".csv"):
-        base = base[:-4]
-    return base
-
-
-def _run_convert(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
-    schedule = config.schedule
-    duration = schedule.duration
-    cfgs = [apply_sweep_point(config, idx) for idx in range(config.n_runs)]
+def _convert(config: ScenarioConfig, cfgs: list[ScenarioConfig]):
+    schedule, duration = config.schedule, config.schedule.duration
     initials = [gaussian.make_squeezed_coherent(c.alpha, c.r, c.phi) for c in cfgs]
     states0 = [gaussian.embed_initial(s, c.mech_occupation) for s, c in zip(initials, cfgs)]
     params = [c.params for c in cfgs]
@@ -80,78 +73,62 @@ def _run_convert(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
         # quiet-bath twins isolate the mechanical-noise effect
         states0 += states0
         params += [dataclasses.replace(p, gamma_m=0.0, n_th=0.0) for p in params]
-    finals = [
-        gaussian.reduce_to_mode(st, 3)
-        for st in gaussian.integrate_batch(states0, params, schedule, duration)
-    ]
-
-    sweep_names = list(config.sweep.parameters) if config.sweep else []
-    header = sweep_names + ["F_numeric", "F1_analytic", "F_analytic", "F2_analytic", "f0T", "fs"]
+    batch = gaussian.integrate_batch(states0, params, schedule, duration)
+    finals = [gaussian.reduce_to_mode(st, 3) for st in batch]
+    header = ["F_numeric", "F1_analytic", "F_analytic", "F2_analytic", "f0T", "fs"]
     if config.delta_f:
         header += ["F_reference", "delta_F", "fs_bound"]
-    rows = []
-    summaries = []
-    for idx, cfg in enumerate(cfgs):
+
+    def point(idx: int, cfg: ScenarioConfig):
         f_num = gaussian.gaussian_fidelity(initials[idx], finals[idx])
         report = None
         try:
-            report = adiabatic.analytic_fidelity(
-                cfg.alpha, cfg.r, cfg.phi, cfg.params, schedule, duration
-            )
+            report = adiabatic.analytic_fidelity(cfg.alpha, cfg.r, cfg.phi, cfg.params, schedule, duration)
         except adiabatic.AdiabaticError:
             pass  # outside the expansion regime; numeric fidelity stands alone
-        row: list = [v for v in (config.sweep.points[idx] if config.sweep else [])]
-        scalars = [("F", f_num)]
+        row, scalars = [f_num, "", "", "", "", ""], [("F", f_num)]
         if report is not None:
-            row += [f_num, report.F1, report.F, report.F2, report.f0T, report.fs]
+            row[1:] = [report.F1, report.F, report.F2, report.f0T, report.fs]
             scalars += [("F1", report.F1), ("F2", report.F2), ("F_analytic", report.F),
                         ("f0T", report.f0T), ("fs", report.fs)]
-        else:
-            row += [f_num, "", "", "", "", ""]
         if config.delta_f:
             f_ref = gaussian.gaussian_fidelity(initials[idx], finals[len(cfgs) + idx])
-            fsb = adiabatic.fs_bound(cfg.params, schedule, duration)
+            # report.fs is this same fs_bound call
+            fsb = report.fs if report is not None else adiabatic.fs_bound(cfg.params, schedule, duration)
             row += [f_ref, abs(f_num - f_ref), fsb]
-            scalars += [("F_reference", f_ref), ("delta_F", abs(f_num - f_ref)),
-                        ("fs_bound", fsb)]
-        rows.append(row)
-        summaries.append(SummaryRecord(_point_label(config, idx), _check_finite(scalars)))
+            scalars += [("F_reference", f_ref), ("delta_F", abs(f_num - f_ref)), ("fs_bound", fsb)]
+        return (), row, scalars
 
-    path = write_atomic(out_dir / f"{_base_name(config)}.csv", build_csv(header, rows))
-    return RunArtifacts(files=(path,), summaries=tuple(summaries))
+    return header, "", point
 
 
-def _run_spectrum(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
+def _resonance(cfg: ScenarioConfig):
+    """(T31(0) report, analytic half-width, numeric half-width) at the point's couplings."""
+    g1, g2 = cfg.schedule.g1, cfg.schedule.g2
+    return (transmission.t31_resonant(cfg.params, g1, g2),
+            *transmission.half_width(cfg.params, g1, g2))
+
+
+def _spectrum(config: ScenarioConfig, cfgs: list[ScenarioConfig]):
     omegas = np.linspace(config.omega_min, config.omega_max, config.n_omega)
-    base = _base_name(config)
-    texts = []
-    summaries = []
-    for idx in range(config.n_runs):
-        cfg = apply_sweep_point(config, idx)
-        g1, g2 = cfg.schedule.g1, cfg.schedule.g2
-        spec = transmission.transmission_spectrum(cfg.params, g1, g2, omegas)
-        res = transmission.t31_resonant(cfg.params, g1, g2)
-        hw_an, hw_num = transmission.half_width(cfg.params, g1, g2)
-        name = f"{base}.csv" if config.n_runs == 1 else f"{base}_{idx + 1:03d}.csv"
-        texts.append((name, transmission.spectrum_to_csv(spec)))
+
+    def point(idx: int, cfg: ScenarioConfig):
+        spec = transmission.transmission_spectrum(cfg.params, cfg.schedule.g1, cfg.schedule.g2, omegas)
+        res, hw_an, hw_num = _resonance(cfg)
         scalars = [("t31_0", res.value), ("optimal", 1.0 if res.optimal else 0.0),
                    ("half_width_analytic", hw_an), ("half_width_numeric", hw_num)]
-        summaries.append(SummaryRecord(_point_label(config, idx), _check_finite(scalars)))
-    return _write(out_dir, texts, summaries)
+        return (("", transmission.spectrum_to_csv(spec)),), [], scalars
+
+    return None, "", point
 
 
-def _run_pulse(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
+def _pulse(config: ScenarioConfig, cfgs: list[ScenarioConfig]):
     time_domain = config.scenario == "engineer"
-    base = _base_name(config)
-    texts = []
-    summaries = []
-    summary_rows = []
-    sweep_names = list(config.sweep.parameters) if config.sweep else []
-    summary_header = sweep_names + ["pulse_fidelity", "energy_ratio"]
+    header = ["pulse_fidelity", "energy_ratio"]
     if not time_domain:
-        summary_header += ["t31_0", "half_width_analytic", "half_width_numeric"]
-    for idx in range(config.n_runs):
-        cfg = apply_sweep_point(config, idx)
+        header += ["t31_0", "half_width_analytic", "half_width_numeric"]
+
+    def point(idx: int, cfg: ScenarioConfig):
         sched = cfg.schedule
         p_in = transmission.gaussian_pulse(cfg.sigma_omega, cfg.pulse_amplitude, cfg.pulse_points)
         if time_domain:
@@ -160,44 +137,51 @@ def _run_pulse(config: ScenarioConfig, out_dir: Path) -> RunArtifacts:
             p_out = transmission.transmit_pulse_freq(p_in, cfg.params, sched.g1, sched.g2)
         fp = transmission.pulse_fidelity(p_in, p_out)
         energy = transmission.pulse_energy(p_out) / transmission.pulse_energy(p_in)
-        tag = "" if config.n_runs == 1 else f"_{idx + 1:03d}"
-        texts.append((f"{base}{tag}_in.csv", transmission.pulse_to_csv(p_in)))
-        texts.append((f"{base}{tag}_out.csv", transmission.pulse_to_csv(p_out)))
-        row: list = [v for v in (config.sweep.points[idx] if config.sweep else [])]
-        row += [fp, energy]
+        files = (("_in", transmission.pulse_to_csv(p_in)), ("_out", transmission.pulse_to_csv(p_out)))
         scalars = [("Fp", fp), ("energy_ratio", energy)]
         if not time_domain:
-            res = transmission.t31_resonant(cfg.params, sched.g1, sched.g2)
-            hw_an, hw_num = transmission.half_width(cfg.params, sched.g1, sched.g2)
-            row += [res.value, hw_an, hw_num]
+            res, hw_an, hw_num = _resonance(cfg)
             scalars += [("t31_0", res.value), ("half_width_analytic", hw_an), ("half_width_numeric", hw_num)]
-        summary_rows.append(row)
-        summaries.append(SummaryRecord(_point_label(config, idx), _check_finite(scalars)))
-    texts.append((f"{base}_summary.csv", build_csv(summary_header, summary_rows)))
-    return _write(out_dir, texts, summaries)
+        return files, [value for _, value in scalars], scalars
+
+    return header, "_summary", point
 
 
-def _write(out_dir: Path, texts: list[tuple[str, str]], summaries: list[SummaryRecord]) -> RunArtifacts:
-    """Write every (name, text) once all points have run, so a failed run writes no file."""
-    files = tuple(write_atomic(out_dir / name, text) for name, text in texts)
-    return RunArtifacts(files=files, summaries=tuple(summaries))
+_KINDS = {"convert": _convert, "spectrum": _spectrum, "transmit": _pulse, "engineer": _pulse}
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Path | str = ".") -> RunArtifacts:
-    """Execute a validated configuration and write its artifacts under out_dir."""
-    out = Path(out_dir)
+    """Execute a validated configuration and write its artifacts under out_dir.
+
+    A kind's function returns (table header or None, table name suffix,
+    point); point(idx, cfg) returns ((suffix, text) files, row, scalars).
+    Point files are <base><tag><suffix>.csv, tagged _001, _002, ... when
+    there are several points, and the table <base><suffix>.csv comes last.
+    """
+    kind = _KINDS.get(config.scenario)
+    if kind is None:
+        raise ConfigError(f"unknown scenario {config.scenario!r}")
+    base = (config.output_path or config.scenario).removesuffix(".csv")
+    sweep = config.sweep
     try:
-        if config.scenario == "convert":
-            return _run_convert(config, out)
-        if config.scenario == "spectrum":
-            return _run_spectrum(config, out)
-        if config.scenario in ("transmit", "engineer"):
-            return _run_pulse(config, out)
+        cfgs = [apply_sweep_point(config, idx) for idx in range(config.n_runs)]
+        header, table, point = kind(config, cfgs)
+        texts, rows, summaries = [], [], []
+        for idx, cfg in enumerate(cfgs):
+            files, row, scalars = point(idx, cfg)
+            tag = "" if config.n_runs == 1 else f"_{idx + 1:03d}"
+            texts += [(f"{base}{tag}{suffix}.csv", text) for suffix, text in files]
+            rows.append([*(sweep.points[idx] if sweep else ()), *row])
+            summaries.append(SummaryRecord(_point_label(config, idx), _check_finite(scalars)))
+        if header is not None:
+            names = list(sweep.parameters) if sweep else []
+            texts.append((f"{base}{table}.csv", build_csv(names + header, rows)))
+        files = tuple(write_atomic(Path(out_dir) / name, text) for name, text in texts)
     except (ScenarioError, ConfigError):
         raise
     except Exception as exc:
         raise ScenarioError(f"{config.scenario} run failed: {exc}") from exc
-    raise ConfigError(f"unknown scenario {config.scenario!r}")
+    return RunArtifacts(files=files, summaries=tuple(summaries))
 
 
 def emit_summary(artifacts: RunArtifacts) -> int:

@@ -315,7 +315,9 @@ def transmit_pulse_time(
             f"window [0, {t_grid[-1]}]"
         )
     dt = p_in.dt
-    g_probe = float(schedule.g0(np.linspace(0.0, t_grid[-1], 33)).max())
+    # g0 of a piecewise-linear schedule peaks at a breakpoint, which the 33 probes may step over
+    breaks = [b for b in getattr(schedule, "times", ()) if 0.0 < b < t_grid[-1]]
+    g_probe = float(schedule.g0(np.append(np.linspace(0.0, t_grid[-1], 33), breaks)).max())
     g_scale = max(1.0, g_probe, params.kappa1, params.kappa2)
     # fixed RK4 substep keeping the accumulated phase error ~1e-5 relative
     h_target = (120.0 * 3e-5 / (max(t_grid[-1], 1.0) * g_scale**5)) ** 0.25

@@ -348,3 +348,23 @@ def test_run_prints_no_warning_twice(tmp_path):
     assert sum("omega_m/10" in line for line in warned) == 1
     assert sum("f(0,T)" in line for line in warned) == 2
     assert len(set(warned)) == len(warned)
+
+
+def test_strongly_squeezed_config_runs(tmp_path):
+    # at r = 3.91, n(n+1) and |m|^2 are both near 3.9e5, past an absolute 1e-10 tolerance
+    path = tmp_path / "squeezed.cfg"
+    path.write_text((SCENARIO_DIR / "fig1b_squeezed.cfg").read_text().replace("r = 0.4", "r = 3.91"))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fig1b_squeezed.csv").exists()
+
+
+@pytest.mark.parametrize("name, kind", [("fig1b", "convert"), ("fig2a", "spectrum"), ("fig2b", "transmit")])
+def test_write_failure_is_a_numeric_error(name, kind, tmp_path, capsys):
+    # --out names a regular file, so the first write fails once every point has run
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", str(SCENARIO_DIR / f"{name}.cfg"), "--out", str(out)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"numeric error: {kind} run failed: [Errno 17] File exists: {str(out)!r}"
+    assert not list(tmp_path.rglob("*.csv"))

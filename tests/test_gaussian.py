@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from omtransfer import gaussian
@@ -19,7 +20,7 @@ from omtransfer.gaussian import (
     make_squeezed_coherent,
     reduce_to_mode,
 )
-from omtransfer.model import ConstantCoupling, SystemParams, TrigSchedule
+from omtransfer.model import ConstantCoupling, PiecewiseLinearSchedule, SystemParams, TrigSchedule
 
 _OMEGA_6 = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -84,6 +85,18 @@ def test_unphysical_moments_rejected():
         SingleModeGaussian(mean=0.0, n_ex=0.1, m_an=1.0)
     with pytest.raises(GaussianError):
         SingleModeGaussian(mean=0.0, n_ex=-0.5, m_an=0.0)
+
+
+def test_strongly_squeezed_states_are_physical():
+    # n(n+1) = |m|^2 for a pure squeezed state, and their rounding grows as n^2:
+    # an absolute 1e-10 tolerance rejects 259 of these, the first at r = 3.81
+    for r in np.arange(0.0, 6.0, 0.01):
+        for phi in (0.0, 0.3, 1.1):
+            embed_initial(make_squeezed_coherent(1.0, float(r), phi), 0.0)
+    # the relative tolerance still rejects a relative shift of 1e-6 from the boundary
+    sq = make_squeezed_coherent(0.0, 5.0, 0.3)
+    with pytest.raises(PhysicalityError):
+        SingleModeGaussian(mean=0.0, n_ex=sq.n_ex * (1.0 - 1e-6), m_an=sq.m_an)
 
 
 def test_embed_initial():
@@ -456,3 +469,38 @@ def test_integrate_names_time_of_first_faulty_sample(monkeypatch, faults, error,
         integrate(st0, SystemParams(kappa1=0.1, kappa2=0.0), FIG1, math.pi / 2, n_samples=1001)
     assert info.value.args[0].startswith(f"physicality violation at t = {times[300]:.6g}: ")
     assert len(times) > 310
+
+
+def _mean_reference(schedule, params, mean0, t_final):
+    """DOP853 on the mean equation d<v>/dt = -i M <v>, restarted at every breakpoint."""
+    k1, k2, gm = params.kappa1, params.kappa2, params.gamma_m
+
+    def rhs(t, y):
+        g1, g2 = (float(g) for g in schedule.values(t))
+        v = y[:3] + 1j * y[3:]
+        d = np.array([-0.5 * k1 * v[0] - 1j * g1 * v[1],
+                      -1j * g1 * v[0] - 0.5 * gm * v[1] - 1j * g2 * v[2],
+                      -1j * g2 * v[1] - 0.5 * k2 * v[2]])
+        return np.concatenate([d.real, d.imag])
+
+    y = np.concatenate([mean0.real, mean0.imag])
+    edges = [0.0, *(b for b in schedule.times if 0.0 < b < t_final), t_final]
+    for lo, hi in zip(edges, edges[1:]):
+        y = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
+    return y[:3] + 1j * y[3:]
+
+
+def test_integrate_step_sees_coupling_burst_between_grid_times():
+    # a 0.03-long burst to |g| = 20 fits between two of the 257 grid times on which
+    # the step is sized; sized from |g| = 0.5 the final mean was 3.2e-5 off, now 2.5e-9
+    t_final = 10.0
+    start = t_final / 2 + 0.1 * t_final / 256
+    times = (0.0, start, start + 0.005, start + 0.025, start + 0.03, t_final)
+    schedule = PiecewiseLinearSchedule(
+        times, (0.5, 0.5, 20.0, 20.0, 0.5, 0.5), (-0.5, -0.5, -20.0, -20.0, -0.5, -0.5)
+    )
+    params = SystemParams(kappa1=0.01, kappa2=0.01, gamma_m=1e-4, n_th=2.0)
+    state0 = embed_initial(make_squeezed_coherent(1.0, 0.3, 0.2), 2.0)
+    final = integrate(state0, params, schedule, t_final, n_samples=2).final
+    reference = _mean_reference(schedule, params, state0.mean, t_final)
+    assert np.abs(final.mean - reference).max() < 1e-7

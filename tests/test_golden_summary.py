@@ -1,0 +1,44 @@
+"""Golden record of the summary lines `omtransfer run` prints.
+
+tests/golden/<name>_stdout.txt holds the stdout of the seven scenarios whose
+CSVs tests/test_golden.py pins, recorded before every scenario kind ran
+through one point loop.  Labels, keys and key order must match exactly;
+numbers match at the tolerance of that scenario's CSV golden.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from omtransfer.cli import main
+
+ROOT = Path(__file__).resolve().parent
+SCENARIO_DIR = ROOT.parent / "scenarios"
+GOLDEN_DIR = ROOT / "golden"
+
+# (rtol, atol) of each scenario's CSV golden
+TOLERANCE = {
+    **dict.fromkeys(["fig1b", "fig1b_squeezed", "fig1c", "fig1c_squeezed"], (1e-12, 0.0)),
+    **dict.fromkeys(["fig2a", "fig2b", "fig2cd"], (1e-11, 1e-15)),
+}
+
+
+def _parse(line):
+    label, *pairs = line.split(" ")
+    keys, values = zip(*(pair.split("=", 1) for pair in pairs))
+    return label, keys, [float(v) for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE))
+def test_summary_matches_golden(name, tmp_path, capsys):
+    assert main(["run", str(SCENARIO_DIR / f"{name}.cfg"), "--out", str(tmp_path)]) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = (GOLDEN_DIR / f"{name}_stdout.txt").read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want)
+    rtol, atol = TOLERANCE[name]
+    for got_line, want_line in zip(got, want):
+        got_label, got_keys, got_values = _parse(got_line)
+        want_label, want_keys, want_values = _parse(want_line)
+        assert (got_label, got_keys) == (want_label, want_keys)
+        np.testing.assert_allclose(got_values, want_values, rtol=rtol, atol=atol, err_msg=got_line)

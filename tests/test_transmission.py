@@ -4,6 +4,7 @@ import signal
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from omtransfer.model import ConstantCoupling, PiecewiseLinearSchedule, SystemParams
 from omtransfer.transmission import (
@@ -348,3 +349,35 @@ def test_lossless_dark_mode_is_singular_at_resonance():
     # away from resonance the same network transmits nothing between cavities
     t = transmission_matrix(p, 4.0, 3.0, 0.5)
     assert t[2, 0] == 0.0 and t[0, 0] == 1.0
+
+
+def test_transmit_pulse_time_sees_coupling_window_between_probes():
+    # couplings (4, 3) are on only between 16.2 and 16.8 spacings of the 33 probe times
+    # that size the RK4 substep: sized from the probes alone (g0 = 0 there) the output is
+    # 1.1e-2 of the peak off; with the breakpoints probed too, 3.2e-4
+    p_in = gaussian_pulse(0.2, 1.0, 1024)
+    params = SystemParams(kappa1=0.32, kappa2=0.16, gamma_m=0.001)
+    t_grid, u = p_in.times, p_in.amplitudes
+    a, b = 16.2 * t_grid[-1] / 32, 16.8 * t_grid[-1] / 32
+    schedule = PiecewiseLinearSchedule(
+        (0.0, a, a + 0.01, b - 0.01, b, t_grid[-1] + 0.01), (0, 0, 4.0, 4.0, 0, 0), (0, 0, 3.0, 3.0, 0, 0)
+    )
+    got = transmit_pulse_time(p_in, params, schedule).amplitudes
+
+    def rhs(t, y):
+        g1, g2 = (float(g) for g in schedule.values(t))
+        v = y[:3] + 1j * y[3:]
+        drive = math.sqrt(params.kappa1) * (np.interp(t, t_grid, u.real) + 1j * np.interp(t, t_grid, u.imag))
+        d = np.array([-0.5 * params.kappa1 * v[0] - 1j * g1 * v[1] + drive,
+                      -1j * g1 * v[0] - 0.5 * params.gamma_m * v[1] - 1j * g2 * v[2],
+                      -1j * g2 * v[1] - 0.5 * params.kappa2 * v[2]])
+        return np.concatenate([d.real, d.imag])
+
+    # DOP853 between consecutive samples and breakpoints, where drive and couplings are smooth
+    edges = np.union1d(t_grid, schedule.times[1:-1])
+    y, a2 = np.zeros(6), {0.0: 0.0}
+    for lo, hi in zip(edges, edges[1:]):
+        y = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-11, atol=1e-14).y[:, -1]
+        a2[hi] = y[2] + 1j * y[5]
+    reference = -math.sqrt(params.kappa2) * np.array([a2[t] for t in t_grid])
+    assert np.abs(got - reference).max() < 1e-3 * np.abs(u).max()
