@@ -267,6 +267,50 @@ def drift_stack(damping, g1, g2) -> np.ndarray:
     return m.reshape(m.shape[:-1] + (3, 3))
 
 
+# Gauss–Legendre nodes of [0, 1] at which _magnus6_exp takes the generator
+_GL3_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+
+
+def _magnus6_omega(a: np.ndarray, h) -> np.ndarray:
+    """Sixth-order Magnus exponent of dX/dt = A(t) X over a step of length h.
+
+    a (..., 3, n, n) holds A at t + _GL3_NODES * h; h broadcasts against the
+    leading axes.  Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009):
+    a constant A gives exactly h A.
+    """
+    h = np.asarray(h)[..., None, None]
+    a1, a2, a3 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
+    b1 = h * a2
+    b2 = (math.sqrt(15.0) / 3.0) * h * (a3 - a1)
+    b3 = (10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    c1 = comm(b1, b2)
+    c2 = comm(b1, 2.0 * b3 + c1) / -60.0
+    return b1 + b3 / 12.0 + comm(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+
+
+def _magnus6_exp(a: np.ndarray, h) -> np.ndarray:
+    """exp of _magnus6_omega(a, h): the step's (..., n, n) propagator.
+
+    A degree-12 Taylor polynomial of Omega / 2^s, where s brings the 1-norm
+    to at most 1/4 (truncation below 3e-18 of the norm), squared s times.
+    """
+    x = _magnus6_omega(a, h)
+    s = np.maximum(np.frexp(np.abs(x).sum(-2).max(-1) * 4.0)[1], 0)
+    x = x * np.ldexp(1.0, -s)[..., None, None]
+    eye = np.eye(x.shape[-1])
+    e = eye + x / 12.0
+    for k in range(11, 0, -1):
+        e = eye + (x @ e) / k
+    for j in range(int(s.max(initial=0))):
+        more = s > j
+        e[more] = e[more] @ e[more]
+    return e
+
+
 def dynamic_matrix_at(params: SystemParams, schedule: CouplingSchedule, t: float) -> np.ndarray:
     """Complex (3, 3) M(t) of a schedule."""
     return drift_stack(params.damping_diagonal, *schedule.values(t))

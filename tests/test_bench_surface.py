@@ -8,6 +8,7 @@ perfbench's own modules and change nothing there.
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def _perfbench(name):
     spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -56,3 +58,22 @@ def test_dark_mode_of_dynamic_matrix_at(om, t):
     ideal = np.array([-g2, 0.0, g1]) / math.hypot(g1, g2)
     assert abs(np.vdot(ideal, dark.vector)) > 0.99
     assert dark.lambda1.imag < 0.0
+
+
+def test_engineer_run_evaluates_its_schedule_at_most_twice(om, tmp_path):
+    # one call per refinement round of the time-domain pulse path, never one per substep
+    workloads, tracing = _perfbench("workloads"), _perfbench("tracing")
+    item = next(
+        i for i in workloads.generate("pulse_spectrum", 0)
+        if i.kind == "engineer" and i.spec["schedule"]["type"] == "piecewise"
+    )
+    config = tmp_path / "engineer.cfg"
+    config.write_text(item.text, encoding="utf-8")
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer, om)
+    try:
+        assert om.cli.main(["run", str(config), "--out", str(tmp_path), "--jobs", "1"]) == 0
+    finally:
+        tracer.restore()
+    assert tracer.counts["transmission.pulse_time.calls"] == 1
+    assert 1 <= tracer.counts["model.values_calls"] <= 2

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from omtransfer.model import (
+    _GL3_NODES,
     ConstantCoupling,
     ModelError,
     PiecewiseLinearSchedule,
@@ -13,6 +16,8 @@ from omtransfer.model import (
     TanhRampSchedule,
     TrigSchedule,
     adiabaticity,
+    _magnus6_exp,
+    _magnus6_omega,
     drift_stack,
     dynamic_matrix_at,
 )
@@ -169,3 +174,42 @@ def test_dynamic_matrix_at_couplings():
     assert m[0, 1] == m[1, 0] == g1
     assert m[1, 2] == m[2, 1] == g2
     assert_allclose(np.diag(m), [-0.05j, 0.0, -0.1j], rtol=0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_magnus6_of_a_constant_generator_is_expm(n):
+    rng = np.random.default_rng(n)
+    # 1-norms of h A from about 0.01 to 300: up to 11 squarings of the Taylor polynomial
+    scale = np.logspace(-2.5, 1.5, 16)[:, None, None]
+    a = scale * (rng.normal(size=(16, n, n)) + 1j * rng.normal(size=(16, n, n)))
+    h = rng.uniform(0.5, 2.0, size=16)
+    nodes = np.repeat(a[:, None], 3, axis=1)
+    assert np.array_equal(_magnus6_omega(nodes, h), h[:, None, None] * a)
+    got = _magnus6_exp(nodes, h)
+    for g, hi, ai in zip(got, h, a):
+        want = expm(hi * ai)
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_magnus6_step_is_sixth_order():
+    # A(t) = A0 + t A1 + t^2 A2: one step's error must fall by about 2^7 when h halves
+    rng = np.random.default_rng(3)
+    a0, a1, a2 = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+
+    def generator(t):
+        return a0 + t * a1 + t * t * a2
+
+    def error(h):
+        def rhs(t, y):
+            x = y[:25] + 1j * y[25:]
+            d = (generator(t) @ x.reshape(5, 5)).ravel()
+            return np.concatenate([d.real, d.imag])
+
+        y0 = np.concatenate([np.eye(5).ravel(), np.zeros(25)])
+        y = solve_ivp(rhs, (0.0, h), y0, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+        want = (y[:25] + 1j * y[25:]).reshape(5, 5)
+        got = _magnus6_exp(np.array([generator(t) for t in h * _GL3_NODES]), h)
+        return np.abs(got - want).max()
+
+    ratios = [error(h) / error(h / 2) for h in (0.2, 0.1)]
+    assert all(2**6.5 < r < 2**7.5 for r in ratios), ratios

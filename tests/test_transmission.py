@@ -1,12 +1,14 @@
 import math
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from omtransfer.model import ConstantCoupling, PiecewiseLinearSchedule, SystemParams
+from omtransfer.cli import main
+from omtransfer.model import ConstantCoupling, PiecewiseLinearSchedule, SystemParams, TanhRampSchedule
 from omtransfer.transmission import (
     Pulse,
     TransmissionError,
@@ -278,7 +280,7 @@ def test_step_schedule_reduces_output_energy():
 
 
 def test_schedule_ending_at_the_last_sample_is_accepted():
-    # at sigma 0.15 the last substep's end time rounds to one ulp past t_end
+    # no node time of the last panel may round past t_end
     params = fig2_params(0.064, 0.032)
     p_in = gaussian_pulse(0.15, n_points=1024)
     exact = ConstantCoupling(4.0, 3.0, duration=float(p_in.times[-1]))
@@ -351,18 +353,9 @@ def test_lossless_dark_mode_is_singular_at_resonance():
     assert t[2, 0] == 0.0 and t[0, 0] == 1.0
 
 
-def test_transmit_pulse_time_sees_coupling_window_between_probes():
-    # couplings (4, 3) are on only between 16.2 and 16.8 spacings of the 33 probe times
-    # that size the RK4 substep: sized from the probes alone (g0 = 0 there) the output is
-    # 1.1e-2 of the peak off; with the breakpoints probed too, 3.2e-4
-    p_in = gaussian_pulse(0.2, 1.0, 1024)
-    params = SystemParams(kappa1=0.32, kappa2=0.16, gamma_m=0.001)
+def _dop853_output(p_in, params, schedule):
+    """-sqrt(k2) <a2> by DOP853 between consecutive samples and breakpoints, where drive and couplings are smooth."""
     t_grid, u = p_in.times, p_in.amplitudes
-    a, b = 16.2 * t_grid[-1] / 32, 16.8 * t_grid[-1] / 32
-    schedule = PiecewiseLinearSchedule(
-        (0.0, a, a + 0.01, b - 0.01, b, t_grid[-1] + 0.01), (0, 0, 4.0, 4.0, 0, 0), (0, 0, 3.0, 3.0, 0, 0)
-    )
-    got = transmit_pulse_time(p_in, params, schedule).amplitudes
 
     def rhs(t, y):
         g1, g2 = (float(g) for g in schedule.values(t))
@@ -373,11 +366,75 @@ def test_transmit_pulse_time_sees_coupling_window_between_probes():
                       -1j * g2 * v[1] - 0.5 * params.kappa2 * v[2]])
         return np.concatenate([d.real, d.imag])
 
-    # DOP853 between consecutive samples and breakpoints, where drive and couplings are smooth
-    edges = np.union1d(t_grid, schedule.times[1:-1])
+    edges = np.union1d(t_grid, getattr(schedule, "times", (0.0,))[1:-1])
     y, a2 = np.zeros(6), {0.0: 0.0}
     for lo, hi in zip(edges, edges[1:]):
         y = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-11, atol=1e-14).y[:, -1]
         a2[hi] = y[2] + 1j * y[5]
-    reference = -math.sqrt(params.kappa2) * np.array([a2[t] for t in t_grid])
-    assert np.abs(got - reference).max() < 1e-3 * np.abs(u).max()
+    return -math.sqrt(params.kappa2) * np.array([a2[t] for t in t_grid])
+
+
+def test_transmit_pulse_time_sees_coupling_window_between_probes():
+    # couplings (4, 3) are on only between 16.2 and 16.8 of 32 equal spans of the window, with
+    # 0.01-long ramps inside single grid intervals; panels split at the four kinks
+    p_in = gaussian_pulse(0.2, 1.0, 1024)
+    params = SystemParams(kappa1=0.32, kappa2=0.16, gamma_m=0.001)
+    t_end = p_in.times[-1]
+    a, b = 16.2 * t_end / 32, 16.8 * t_end / 32
+    schedule = PiecewiseLinearSchedule(
+        (0.0, a, a + 0.01, b - 0.01, b, t_end + 0.01), (0, 0, 4.0, 4.0, 0, 0), (0, 0, 3.0, 3.0, 0, 0)
+    )
+    got = transmit_pulse_time(p_in, params, schedule).amplitudes
+    assert np.abs(got - _dop853_output(p_in, params, schedule)).max() < 1e-8 * np.abs(p_in.amplitudes).max()
+
+
+def test_transmit_pulse_time_refines_where_a_smooth_ramp_needs_it():
+    # g0 dt = 1 on a tanh ramp: one Magnus-6 panel per interval is 5.5e-7 of the peak off,
+    # so only the step-doubling estimate's extra panels bring the output within 1e-8
+    p_in = gaussian_pulse(0.2, 1.0, 512)
+    params = SystemParams(kappa1=0.32, kappa2=0.16, gamma_m=0.001)
+    t_end = p_in.times[-1]
+    schedule = TanhRampSchedule(g_max=1.0 / p_in.dt, center=0.45 * t_end, width=0.5, duration=t_end)
+    got = transmit_pulse_time(p_in, params, schedule).amplitudes
+    assert np.abs(got - _dop853_output(p_in, params, schedule)).max() < 1e-8 * np.abs(p_in.amplitudes).max()
+
+
+def test_transmit_pulse_time_takes_one_panel_per_constant_piece():
+    calls = []
+
+    class Counted(ConstantCoupling):
+        def values(self, t):
+            calls.append(np.shape(t))
+            return super().values(t)
+
+    params = fig2_params(0.064, 0.032)
+    p_in = gaussian_pulse(0.2, n_points=1024)
+    transmit_pulse_time(p_in, params, Counted(4.0, 3.0))
+    # one call for the 1- and 2-panel maps of all 1023 intervals, all accepted at one panel
+    assert calls == [(3 * 1023, 3)]
+
+
+def test_transmit_pulse_time_caps_its_panels():
+    # g0 dt near 60 everywhere: after the first estimate, 1023 open intervals ask for more than 2^16 panels
+    p_in = gaussian_pulse(0.2, n_points=1024)
+    t_end = p_in.times[-1]
+    fast = TanhRampSchedule(g_max=1e3, center=0.5 * t_end, width=t_end, duration=t_end)
+    with pytest.raises(TransmissionError, match="more than 65536 panels"):
+        transmit_pulse_time(p_in, fig2_params(0.064, 0.032), fast)
+
+
+def test_fft_transmission_of_a_real_pulse_is_real(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "scenarios" / "fig2b.cfg"
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 0
+    outputs = sorted(tmp_path.glob("fig2b_*_out.csv"))
+    assert len(outputs) == 5
+    for path in outputs:
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        assert rows[0] == ["t", "re", "im", "abs"]
+        assert {row[2] for row in rows[1:]} == {"0"}, path.name
+    # the filter is complex-linear: real and imaginary parts are filtered alike
+    p_in = gaussian_pulse(0.04 * G0)
+    params = fig2_params(0.064, 0.032)
+    out = transmit_pulse_freq(p_in, params, 4.0, 3.0).amplitudes
+    rotated = transmit_pulse_freq(Pulse(p_in.times, 1j * p_in.amplitudes), params, 4.0, 3.0).amplitudes
+    assert np.array_equal(rotated, 1j * out)
