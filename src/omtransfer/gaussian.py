@@ -26,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import CouplingSchedule, SystemParams, drift_stack
+from .model import _GL3_NODES, CouplingSchedule, SystemParams, _magnus6_exp, drift_stack
 
 __all__ = [
     "GaussianError",
@@ -292,25 +292,99 @@ def _rk4_samples(mean, normal, anomalous, params_seq, schedule, t_final, n_steps
 
 _CHUNK_DRIFTS = 1024
 _CHUNK_STATES = 256
+_CHUNK_STEPS = 1024
 
 
-def _checked(samples, rows: list[int] | None = None):
+def _advance(e, q, mean, normal, anomalous):
+    """Moments moved by the affine maps (E, Q): E* mean, E* A E*^T and E N E^H + Q.
+
+    Stacks broadcast; the returned N is exactly Hermitian and A exactly symmetric.
+    """
+    ec = e.conj()
+    n = e @ normal @ ec.swapaxes(-1, -2) + q
+    a = ec @ anomalous @ ec.swapaxes(-1, -2)
+    return (ec @ mean[..., None])[..., 0], 0.5 * (n + n.conj().swapaxes(-1, -2)), 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps, n_samples):
+    """Magnus-6 Van Loan steps on one (3,) mean and (3, 3) N and A, on the RK4 kernel's grid.
+
+    Yields (times, mean, N, A) stacks of the recorded samples once per chunk
+    of _CHUNK_STEPS steps, t_final last; yielded arrays are never modified
+    afterwards.  A step's propagator Phi = exp(Omega) of the Van Loan
+    generator [[B, D], [0, -B^H]], with B = i M* and D the diffusion (Van
+    Loan, IEEE TAC 23, 1978), gives the step's affine map E = Phi11,
+    Q = Phi12 Phi11^H (see _advance).  Each chunk makes one schedule call at
+    every step's Gauss-Legendre nodes.  Its maps compose by an inclusive
+    prefix scan in about sqrt(chunk) blocks: step by step inside every block
+    at once, (E2, Q2) after (E1, Q1) being (E2 E1, E2 Q1 E2^H + Q2), then
+    block by block on the state.  Composing pairs, not the raw 6x6 products,
+    keeps the scan bounded: their Phi22 overflows past kappa T ~ 1400.  N and
+    A are symmetrized on load and at every sample.
+    """
+    h = t_final / n_steps
+    record_every = max(1, n_steps // max(1, n_samples - 1))
+    diffusion = _diffusion([params])[0]
+    normal = 0.5 * (normal + normal.conj().T)
+    anomalous = 0.5 * (anomalous + anomalous.T)
+    for k0 in range(0, n_steps, _CHUNK_STEPS):
+        ends = np.arange(k0 + 1, min(k0 + _CHUNK_STEPS, n_steps) + 1)
+        # the last nodes may overshoot the schedule end by rounding; clamp
+        ts = np.clip((ends[:, None] - 1.0 + _GL3_NODES) * h, 0.0, schedule.duration)
+        b = 1j * drift_stack(params.damping_diagonal, *schedule.values(ts)).conj()
+        generator = np.zeros(b.shape[:-2] + (6, 6), dtype=complex)
+        generator[..., :3, :3] = b
+        generator[..., :3, 3:] = diffusion
+        generator[..., 3:, 3:] = -b.conj().swapaxes(-1, -2)
+        phi = _magnus6_exp(generator, h)
+        width = math.isqrt(len(ends) - 1) + 1
+        blocks = -(-len(ends) // width)
+        e = np.tile(np.eye(3, dtype=complex), (blocks * width, 1, 1))  # identity steps pad the last block
+        q = np.zeros_like(e)
+        e[: len(ends)] = phi[:, :3, :3]
+        q[: len(ends)] = phi[:, :3, 3:] @ phi[:, :3, :3].conj().swapaxes(1, 2)
+        e, q = e.reshape(blocks, width, 3, 3), q.reshape(blocks, width, 3, 3)
+        for j in range(1, width):
+            q[:, j] += e[:, j] @ q[:, j - 1] @ e[:, j].conj().swapaxes(1, 2)
+            e[:, j] = e[:, j] @ e[:, j - 1]
+        starts = []
+        for i in range(blocks):
+            starts.append((mean, normal, anomalous))
+            mean, normal, anomalous = _advance(e[i, -1], q[i, -1], mean, normal, anomalous)
+        recorded = (ends % record_every == 0) | (ends == n_steps)
+        at = np.flatnonzero(recorded)
+        begin = (np.array(field)[at // width] for field in zip(*starts))
+        samples = _advance(e.reshape(-1, 3, 3)[at], q.reshape(-1, 3, 3)[at], *begin)
+        times = np.where(ends[recorded] == n_steps, t_final, ends[recorded] * h)
+        yield (times, *samples)
+
+
+def _check(times, mean, normal, anomalous, rows=None) -> None:
+    """Raise the first fault of stacked states, naming its sample time and, with rows, its input row.
+
+    States are ordered sample by sample, with len(rows) states per sample.
+    """
+    fault = _first_fault(mean, normal, anomalous)
+    if fault is not None:
+        index, exc = fault
+        width = 1 if rows is None else len(rows)
+        where = f"t = {times[index // width]:.6g}"
+        if rows is not None:
+            where += f", row {rows[index % width]}"
+        raise type(exc)(f"physicality violation at {where}: {exc}")
+
+
+def _checked(samples, rows: list[int]):
     """Pass the RK4 kernel's samples on once they are validated.
 
     One _first_fault call validates a chunk of about _CHUNK_STATES states
     (samples times rows).  An error names the time of the first faulty
-    sample and, when rows are given, its input row.
+    sample and its input row.
     """
-    width = 1 if rows is None else len(rows)
     samples = iter(samples)
-    while chunk := list(islice(samples, max(1, _CHUNK_STATES // width))):
-        fault = _first_fault(*(np.concatenate([sample[f] for sample in chunk]) for f in (1, 2, 3)))
-        if fault is not None:
-            index, exc = fault
-            where = f"t = {chunk[index // width][0]:.6g}"
-            if rows is not None:
-                where += f", row {rows[index % width]}"
-            raise type(exc)(f"physicality violation at {where}: {exc}")
+    while chunk := list(islice(samples, max(1, _CHUNK_STATES // len(rows)))):
+        stacks = (np.concatenate([sample[f] for sample in chunk]) for f in (1, 2, 3))
+        _check([sample[0] for sample in chunk], *stacks, rows)
         yield from chunk
 
 
@@ -321,31 +395,34 @@ def integrate(
     t_final: float,
     n_samples: int = 201,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the moment equations.
+    """Integrate the moment equations by Magnus-6 Van Loan steps (see _magnus_samples).
 
-    The step is h = min(T/2000, 0.01, 0.01/max(kappa1, kappa2, gamma_m, g)),
-    with g the peak coupling on 257 grid times and the schedule's breakpoints;
-    fixed stepping keeps trajectories reproducible.  N and A are symmetrized
-    once on load: the exact blocks embed_initial builds stay as they are, and
-    an input Hermitian only within the validator's 1e-8 loses its
-    anti-Hermitian residue.  Stages are then stacked products (see
-    _stage_derivative), bitwise the plain formulas, and every recorded
-    sample is validated as a state, about 256 samples per stacked validator
-    call; a failure names the time of the first faulty sample.
+    The grid is fixed: h = T / n for the least n with h <= min(T/2000, 0.01,
+    0.01/max(kappa1, kappa2, gamma_m, g)), g the peak coupling on 257 grid
+    times and the schedule's breakpoints, and every max(1, n // (n_samples -
+    1))-th step and the last are recorded.  The input state is validated,
+    then N and A are symmetrized once on load: the exact blocks
+    embed_initial builds stay as they are, and an input Hermitian only
+    within the validator's 1e-8 loses its anti-Hermitian residue.  Every
+    recorded sample is validated as a state, one stacked validator call per
+    chunk of steps; a failure names the time of the first faulty sample.
+    integrate_batch still runs the RK4 kernel, so its final states differ
+    from these by the RK4's truncation error.
     """
     if t_final <= 0:
         raise GaussianError("t_final must be positive")
+    _check([0.0], state0.mean[None], state0.normal[None], state0.anomalous[None])
     n_steps = _step_count(params, _peak_coupling(schedule, t_final), t_final)
-    times = [0.0]
+    times = [np.zeros(1)]
     states = [state0]
-    samples = _rk4_samples(
-        state0.mean[None], state0.normal[None], state0.anomalous[None], [params],
-        schedule, t_final, n_steps, n_samples,
+    samples = _magnus_samples(
+        state0.mean, state0.normal, state0.anomalous, params, schedule, t_final, n_steps, n_samples
     )
-    for t, mean, normal, anomalous in _checked(samples):
-        states.append(ThreeModeGaussianState._prechecked(mean[0], normal[0], anomalous[0]))
+    for t, mean, normal, anomalous in samples:
+        _check(t, mean, normal, anomalous)
+        states.extend(map(ThreeModeGaussianState._prechecked, mean, normal, anomalous))
         times.append(t)
-    return Trajectory(times=np.array(times), states=states)
+    return Trajectory(times=np.concatenate(times), states=states)
 
 
 def integrate_batch(
@@ -354,12 +431,14 @@ def integrate_batch(
     schedule: CouplingSchedule,
     t_final: float,
 ) -> list[ThreeModeGaussianState]:
-    """Final states of integrate(states0[i], params_seq[i], schedule, t_final).
+    """Final states of the moment equations from states0[i] under params_seq[i], on integrate's grid.
 
-    Rows sharing a step count advance as one stack, so every final state is
-    bitwise the serial result.
-    The same physicality tests run at every recorded sample, stacked over
-    samples and rows.
+    The fixed-step RK4 kernel runs here, not integrate's Magnus-6 steps:
+    those move delta_F of the Fig. 1 sweeps by about 1e-11 relative, past
+    the 1e-12 tolerance of their golden record.  Rows sharing a step count
+    advance as one stack, so every final state is bitwise the row's result
+    on its own.  The same physicality tests run at every recorded sample,
+    stacked over samples and rows.
     """
     if t_final <= 0:
         raise GaussianError("t_final must be positive")

@@ -77,3 +77,22 @@ def test_engineer_run_evaluates_its_schedule_at_most_twice(om, tmp_path):
         tracer.restore()
     assert tracer.counts["transmission.pulse_time.calls"] == 1
     assert 1 <= tracer.counts["model.values_calls"] <= 2
+
+
+def test_trajectory_integrate_evaluates_its_schedule_once_per_chunk(om):
+    # one schedule call per chunk of steps plus the peak-coupling probe, never one per step
+    workloads, tracing = _perfbench("workloads"), _perfbench("tracing")
+    item = workloads.generate("trajectory_study", 0)[0]
+    workloads.setup(om, [item])
+    prep, t_final = item.prepared, item.spec["T"]
+    g_max = om.gaussian._peak_coupling(prep["schedule"], t_final)
+    n_steps = om.gaussian._step_count(prep["params"], g_max, t_final)
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer, om)
+    try:
+        om.gaussian.integrate(prep["state0"], prep["params"], prep["schedule"], t_final, n_samples=workloads.ALL_SAMPLES)
+    finally:
+        tracer.restore()
+    assert tracer.counts["gaussian.integrate.calls"] == 1
+    assert tracer.counts["model.values_calls"] <= math.ceil(n_steps / om.gaussian._CHUNK_STEPS) + 1
+    assert tracer.counts["gaussian.states_validated"] == n_steps + 1

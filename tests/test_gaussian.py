@@ -20,7 +20,13 @@ from omtransfer.gaussian import (
     make_squeezed_coherent,
     reduce_to_mode,
 )
-from omtransfer.model import ConstantCoupling, PiecewiseLinearSchedule, SystemParams, TrigSchedule
+from omtransfer.model import (
+    ConstantCoupling,
+    PiecewiseLinearSchedule,
+    SystemParams,
+    TrigSchedule,
+    dynamic_matrix_at,
+)
 
 _OMEGA_6 = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -212,6 +218,20 @@ def test_steady_state_decay_and_cooling():
     assert np.abs(np.diff(tail)).max() < 1e-4  # settled to a constant
 
 
+def test_constant_coupling_reaches_the_lyapunov_steady_state():
+    # H N + N H^+ + D = 0 with H = i M*, as one 9x9 system on row-major vec(N); the
+    # slowest N transient decays as e^{-0.2 t}, to 1.3e-14 at T = 160 (measured 3.6e-14 off)
+    p = SystemParams(kappa1=0.4, kappa2=0.3, gamma_m=0.05, n_th=2.0)
+    schedule = ConstantCoupling(2.0, 2.0)
+    h = 1j * dynamic_matrix_at(p, schedule, 0.0).conj()
+    diffusion = np.diag([0.0, p.gamma_m * p.n_th, 0.0]).astype(complex)
+    lyapunov = np.kron(h, np.eye(3)) + np.kron(np.eye(3), h.conj())
+    steady = np.linalg.solve(lyapunov, -diffusion.ravel()).reshape(3, 3)
+    st0 = embed_initial(make_squeezed_coherent(1.0, 0.3, 0.0), 2.0)
+    final = integrate(st0, p, schedule, 160.0, n_samples=2).final
+    assert_allclose(final.normal, steady, rtol=0.0, atol=1e-12)
+
+
 def test_reduce_to_mode():
     s = make_squeezed_coherent(0.7, 0.4, 0.1)
     st = embed_initial(s, 100.0)
@@ -356,6 +376,8 @@ def test_nearly_hermitian_input_is_symmetrized_once():
 
 
 def test_integrate_batch_bitwise_equal_to_serial():
+    # rows of one batch equal single-row batches bit for bit; integrate runs Magnus-6
+    # steps instead of RK4 and is 2.8e-10 of the state's scale from them (measured)
     coherent = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
     squeezed = embed_initial(make_squeezed_coherent(1.0, 0.4, 0.3), 1.5)
     hot = dict(gamma_m=2e-4, n_th=100.0)
@@ -371,10 +393,13 @@ def test_integrate_batch_bitwise_equal_to_serial():
     finals = integrate_batch([st for st, _ in rows], [p for _, p in rows], FIG1, math.pi / 2)
     assert len(finals) == len(rows)
     for (st0, p), got in zip(rows, finals):
-        want = integrate(st0, p, FIG1, math.pi / 2).final
+        [want] = integrate_batch([st0], [p], FIG1, math.pi / 2)
         assert np.array_equal(got.mean, want.mean)
         assert np.array_equal(got.normal, want.normal)
         assert np.array_equal(got.anomalous, want.anomalous)
+        serial = integrate(st0, p, FIG1, math.pi / 2).final
+        moments = [np.concatenate([s.mean, s.normal.ravel(), s.anomalous.ravel()]) for s in (got, serial)]
+        assert np.abs(moments[0] - moments[1]).max() < 1e-9 * max(1.0, np.abs(moments[1]).max())
 
 
 def test_integrate_batch_names_time_and_row_of_unphysical_row():
@@ -424,42 +449,43 @@ def test_integrate_batch_names_row_of_non_finite_moments():
 
 def _corrupt_samples(monkeypatch, faults):
     """Make integrate's kernel yield sample k damaged by faults[k]; returns the sample times."""
-    kernel = gaussian._rk4_samples
+    kernel = gaussian._magnus_samples
     times = []
 
     def corrupted(*args):
-        for k, (t, mean, normal, anomalous) in enumerate(kernel(*args)):
-            times.append(t)
-            if k in faults:
-                mean, normal, anomalous = mean.copy(), normal.copy(), anomalous.copy()
-                faults[k](mean, normal, anomalous)
+        for chunk in kernel(*args):
+            t, mean, normal, anomalous = (array.copy() for array in chunk)
+            for k, fault in faults.items():
+                if 0 <= k - len(times) < len(t):
+                    fault(mean[k - len(times)], normal[k - len(times)], anomalous[k - len(times)])
+            times.extend(t)
             yield t, mean, normal, anomalous
 
-    monkeypatch.setattr(gaussian, "_rk4_samples", corrupted)
+    monkeypatch.setattr(gaussian, "_magnus_samples", corrupted)
     return times
 
 
 def _squeeze_too_far(mean, normal, anomalous):
-    anomalous[0, 0, 0] += 5.0  # |m|^2 far above n(n+1)
+    anomalous[0, 0] += 5.0  # |m|^2 far above n(n+1)
 
 
 def _not_finite(mean, normal, anomalous):
-    normal[0, 1, 1] = math.nan
+    normal[1, 1] = math.nan
 
 
 def _not_hermitian(mean, normal, anomalous):
-    normal[0, 0, 1] += 1.0
+    normal[0, 1] += 1.0
 
 
 @pytest.mark.parametrize(
     "faults,error,message",
     [
-        # sample 300 lies in the second chunk of 256 samples
-        ({300: _squeeze_too_far}, PhysicalityError, "uncertainty relation"),
-        ({300: _not_finite}, GaussianError, "moments must be finite"),
+        # 2,000 steps recorded every 2nd: sample 600 lies in the second chunk of 512 samples
+        ({600: _squeeze_too_far}, PhysicalityError, "uncertainty relation"),
+        ({600: _not_finite}, GaussianError, "moments must be finite"),
         # later faults in the same chunk must not hide the first one
-        ({300: _squeeze_too_far, 310: _not_finite}, PhysicalityError, "uncertainty relation"),
-        ({300: _squeeze_too_far, 305: _not_hermitian}, PhysicalityError, "uncertainty relation"),
+        ({600: _squeeze_too_far, 610: _not_finite}, PhysicalityError, "uncertainty relation"),
+        ({600: _squeeze_too_far, 605: _not_hermitian}, PhysicalityError, "uncertainty relation"),
     ],
 )
 def test_integrate_names_time_of_first_faulty_sample(monkeypatch, faults, error, message):
@@ -467,8 +493,39 @@ def test_integrate_names_time_of_first_faulty_sample(monkeypatch, faults, error,
     times = _corrupt_samples(monkeypatch, faults)
     with pytest.raises(error, match=message) as info:
         integrate(st0, SystemParams(kappa1=0.1, kappa2=0.0), FIG1, math.pi / 2, n_samples=1001)
-    assert info.value.args[0].startswith(f"physicality violation at t = {times[300]:.6g}: ")
-    assert len(times) > 310
+    assert info.value.args[0].startswith(f"physicality violation at t = {times[600]:.6g}: ")
+    assert len(times) == 1000
+
+
+def test_integrate_validates_its_input_state():
+    bad = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    bad_anom = np.zeros((3, 3), dtype=complex)
+    bad_anom[0, 0] = 0.5  # N = 0 with |m| > 0 violates n(n+1) >= |m|^2
+    object.__setattr__(bad, "anomalous", bad_anom)  # bypass the constructor check
+    with pytest.raises(PhysicalityError, match=r"^physicality violation at t = 0: .*uncertainty"):
+        integrate(bad, SystemParams(kappa1=0.1, kappa2=0.0), FIG1, math.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "schedule,params,n_samples",
+    [
+        (FIG1, SystemParams(kappa1=0.1, kappa2=0.0), 201),  # 2,000 steps, every 10th
+        (FIG1, SystemParams(kappa1=0.1, kappa2=0.0), 301),  # every 6th, and the last
+        (FIG1, SystemParams(kappa1=50.0, kappa2=0.0), 2),  # 7,854 steps, the last only
+        (TrigSchedule(1.0, 23.0), SystemParams(kappa1=0.01, kappa2=0.02), 10**9),  # every step
+    ],
+)
+def test_trajectory_times_are_the_step_grid(schedule, params, n_samples):
+    state0 = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    t_final = schedule.duration
+    traj = integrate(state0, params, schedule, t_final, n_samples=n_samples)
+    n = gaussian._step_count(params, gaussian._peak_coupling(schedule, t_final), t_final)
+    h = t_final / n
+    every = max(1, n // (n_samples - 1))
+    ends = [k for k in range(1, n + 1) if k % every == 0 or k == n]
+    want = np.array([0.0] + [t_final if k == n else k * h for k in ends])
+    assert traj.times.tobytes() == want.tobytes()
+    assert len(traj.states) == len(want)
 
 
 def _mean_reference(schedule, params, mean0, t_final):

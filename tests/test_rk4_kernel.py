@@ -157,10 +157,11 @@ def test_squeezed_vacuum_with_diffusion_is_bitwise_the_reference():
 
 # -- accuracy oracle -----------------------------------------------------------
 
-def _fidelities(name: str, n_steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _fidelities(name: str, n_steps: int | None = None, serial: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """F_numeric and delta_F of a bundled delta_f sweep, as the program computes them.
 
-    With n_steps the sweep is integrated by the same kernel at that fixed step count.
+    With n_steps the sweep is integrated by the same kernel at that fixed step count;
+    with serial every row is integrated on its own by gaussian.integrate.
     """
     config = parse_config((SCENARIO_DIR / f"{name}.cfg").read_text(encoding="utf-8"))
     schedule = config.schedule
@@ -169,7 +170,9 @@ def _fidelities(name: str, n_steps: int | None = None) -> tuple[np.ndarray, np.n
     states0 = [embed_initial(s, c.mech_occupation) for s, c in zip(initials, cfgs)] * 2
     params = [c.params for c in cfgs]
     params += [dataclasses.replace(p, gamma_m=0.0, n_th=0.0) for p in params]
-    if n_steps is None:
+    if serial:
+        finals = [gaussian.integrate(st, p, schedule, schedule.duration).final for st, p in zip(states0, params)]
+    elif n_steps is None:
         finals = gaussian.integrate_batch(states0, params, schedule, schedule.duration)
     else:
         stacks = [np.array([getattr(st, f) for st in states0]) for f in ("mean", "normal", "anomalous")]
@@ -212,3 +215,12 @@ def test_doubled_diffusion_fails_the_accuracy_oracle(monkeypatch):
         np.testing.assert_allclose(delta_f, delta_ref, rtol=DELTA_F_RTOL, atol=0.0)
     # doubling the diffusion roughly doubles delta_F
     assert np.abs(delta_f / delta_ref - 2.0).max() < 0.01
+
+
+# measured on fig1c: F within 2.9e-15 and delta_F within 4.4e-12 of the 16,000-step run
+# (fig1c_squeezed: 5.3e-15 and 8.4e-12); the batched RK4 above is 3.0e-13 and 1.1e-11 away
+def test_integrate_fig1c_rows_are_close_to_the_converged_reference():
+    f_num, delta_f = _fidelities("fig1c", serial=True)
+    f_ref, delta_ref = _converged("fig1c")
+    np.testing.assert_allclose(f_num, f_ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(delta_f, delta_ref, rtol=1e-11, atol=0.0)

@@ -253,7 +253,7 @@ def test_time_domain_matches_frequency_domain():
     rel = np.linalg.norm(out_t.amplitudes - out_f.amplitudes) / np.linalg.norm(
         out_f.amplitudes
     )
-    assert rel < 1e-3
+    assert rel < 5e-6  # measured 5.6e-7: the linear interpolation of the input against the FFT
 
 
 def test_time_domain_zero_couplings_zero_output():
