@@ -26,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import _GL3_NODES, CouplingSchedule, SystemParams, _magnus6_exp, drift_stack
+from .model import _GL3_NODES, CouplingSchedule, SystemParams, _magnus6_block_exp, _mul, drift_stack
 
 __all__ = [
     "GaussianError",
@@ -298,12 +298,15 @@ _CHUNK_STEPS = 1024
 def _advance(e, q, mean, normal, anomalous):
     """Moments moved by the affine maps (E, Q): E* mean, E* A E*^T and E N E^H + Q.
 
-    Stacks broadcast; the returned N is exactly Hermitian and A exactly symmetric.
+    Step axis last: e, q, normal and anomalous are (3, 3, S) and mean (3, S),
+    or one (3, 3) map acts on one (3,) and (3, 3) state.  The returned N is
+    exactly Hermitian and A exactly symmetric.
     """
     ec = e.conj()
-    n = e @ normal @ ec.swapaxes(-1, -2) + q
-    a = ec @ anomalous @ ec.swapaxes(-1, -2)
-    return (ec @ mean[..., None])[..., 0], 0.5 * (n + n.conj().swapaxes(-1, -2)), 0.5 * (a + a.swapaxes(-1, -2))
+    eh = ec.swapaxes(0, 1)
+    n = _mul(_mul(e, normal), eh) + q
+    a = _mul(_mul(ec, anomalous), eh)
+    return _mul(ec, mean[:, None])[:, 0], 0.5 * (n + n.conj().swapaxes(0, 1)), 0.5 * (a + a.swapaxes(0, 1))
 
 
 def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps, n_samples):
@@ -315,12 +318,15 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
     generator [[B, D], [0, -B^H]], with B = i M* and D the diffusion (Van
     Loan, IEEE TAC 23, 1978), gives the step's affine map E = Phi11,
     Q = Phi12 Phi11^H (see _advance).  Each chunk makes one schedule call at
-    every step's Gauss-Legendre nodes.  Its maps compose by an inclusive
-    prefix scan in about sqrt(chunk) blocks: step by step inside every block
-    at once, (E2, Q2) after (E1, Q1) being (E2 E1, E2 Q1 E2^H + Q2), then
-    block by block on the state.  Composing pairs, not the raw 6x6 products,
-    keeps the scan bounded: their Phi22 overflows past kappa T ~ 1400.  N and
-    A are symmetrized on load and at every sample.
+    every step's Gauss-Legendre nodes and one model._magnus6_block_exp call
+    on the blocks X = B, Y = D and Z = -B^H, step axis last.  Its maps
+    compose by an inclusive prefix scan in about sqrt(chunk) blocks: step by
+    step inside every block at once, (E2, Q2) after (E1, Q1) being
+    (E2 E1, E2 Q1 E2^H + Q2), then block by block on the state.  Composing
+    pairs, not the raw 6x6 products, keeps the scan bounded: their Phi22
+    overflows past kappa T ~ 1400.  The scan, the state and the samples stay
+    step-last, (3, 3, S), and are transposed to (S, 3, 3) stacks on yield.
+    N and A are symmetrized on load and at every sample.
     """
     h = t_final / n_steps
     record_every = max(1, n_steps // max(1, n_samples - 1))
@@ -330,33 +336,36 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
     for k0 in range(0, n_steps, _CHUNK_STEPS):
         ends = np.arange(k0 + 1, min(k0 + _CHUNK_STEPS, n_steps) + 1)
         # the last nodes may overshoot the schedule end by rounding; clamp
-        ts = np.clip((ends[:, None] - 1.0 + _GL3_NODES) * h, 0.0, schedule.duration)
-        b = 1j * drift_stack(params.damping_diagonal, *schedule.values(ts)).conj()
-        generator = np.zeros(b.shape[:-2] + (6, 6), dtype=complex)
-        generator[..., :3, :3] = b
-        generator[..., :3, 3:] = diffusion
-        generator[..., 3:, 3:] = -b.conj().swapaxes(-1, -2)
-        phi = _magnus6_exp(generator, h)
+        ts = np.clip((ends - 1.0 + _GL3_NODES[:, None]) * h, 0.0, schedule.duration)
+        m = np.moveaxis(drift_stack(params.damping_diagonal, *schedule.values(ts)), 1, -1)
+        b = np.ascontiguousarray(1j * m.conj())  # (node, 3, 3, step)
+        minus_bh = np.ascontiguousarray(-b.conj().swapaxes(1, 2))
+        e11, e12, _ = _magnus6_block_exp(b, diffusion[..., None], minus_bh, h)
         width = math.isqrt(len(ends) - 1) + 1
         blocks = -(-len(ends) // width)
-        e = np.tile(np.eye(3, dtype=complex), (blocks * width, 1, 1))  # identity steps pad the last block
+        # identity steps pad the last block; then (3, 3, width, blocks) makes slot j of every block contiguous
+        e = np.eye(3, dtype=complex)[..., None].repeat(blocks * width, axis=-1)
         q = np.zeros_like(e)
-        e[: len(ends)] = phi[:, :3, :3]
-        q[: len(ends)] = phi[:, :3, 3:] @ phi[:, :3, :3].conj().swapaxes(1, 2)
-        e, q = e.reshape(blocks, width, 3, 3), q.reshape(blocks, width, 3, 3)
+        e[..., : len(ends)] = e11
+        q[..., : len(ends)] = _mul(e12, e11.conj().swapaxes(0, 1))
+        e = e.reshape(3, 3, blocks, width).swapaxes(2, 3).copy()
+        q = q.reshape(3, 3, blocks, width).swapaxes(2, 3).copy()
         for j in range(1, width):
-            q[:, j] += e[:, j] @ q[:, j - 1] @ e[:, j].conj().swapaxes(1, 2)
-            e[:, j] = e[:, j] @ e[:, j - 1]
+            ej = e[:, :, j]
+            q[:, :, j] += _mul(_mul(ej, q[:, :, j - 1]), ej.conj().swapaxes(0, 1))
+            e[:, :, j] = _mul(ej, e[:, :, j - 1])
         starts = []
         for i in range(blocks):
             starts.append((mean, normal, anomalous))
-            mean, normal, anomalous = _advance(e[i, -1], q[i, -1], mean, normal, anomalous)
+            mean, normal, anomalous = _advance(e[:, :, -1, i], q[:, :, -1, i], mean, normal, anomalous)
         recorded = (ends % record_every == 0) | (ends == n_steps)
         at = np.flatnonzero(recorded)
-        begin = (np.array(field)[at // width] for field in zip(*starts))
-        samples = _advance(e.reshape(-1, 3, 3)[at], q.reshape(-1, 3, 3)[at], *begin)
+        block = at // width
+        index = at % width * blocks + block  # take copies, keeping the step axis contiguous
+        begin = (np.stack(field, axis=-1).take(block, axis=-1) for field in zip(*starts))
+        samples = _advance(*(f.reshape(3, 3, -1).take(index, axis=-1) for f in (e, q)), *begin)
         times = np.where(ends[recorded] == n_steps, t_final, ends[recorded] * h)
-        yield (times, *samples)
+        yield (times, *(np.ascontiguousarray(np.moveaxis(f, -1, 0)) for f in samples))
 
 
 def _check(times, mean, normal, anomalous, rows=None) -> None:
@@ -396,6 +405,9 @@ def integrate(
     n_samples: int = 201,
 ) -> Trajectory:
     """Integrate the moment equations by Magnus-6 Van Loan steps (see _magnus_samples).
+
+    Each chunk of steps makes one call of model._magnus6_block_exp, the
+    block-triangular Magnus kernel that the time-domain pulse path shares.
 
     The grid is fixed: h = T / n for the least n with h <= min(T/2000, 0.01,
     0.01/max(kappa1, kappa2, gamma_m, g)), g the peak coupling on 257 grid

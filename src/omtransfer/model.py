@@ -17,7 +17,9 @@ couple only through the mechanical mode (entries (1,3) and (3,1) vanish).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -267,48 +269,106 @@ def drift_stack(damping, g1, g2) -> np.ndarray:
     return m.reshape(m.shape[:-1] + (3, 3))
 
 
-# Gauss–Legendre nodes of [0, 1] at which _magnus6_exp takes the generator
+# Gauss–Legendre nodes of [0, 1] at which _magnus6_block_exp takes the generator
 _GL3_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 
 
-def _magnus6_omega(a: np.ndarray, h) -> np.ndarray:
-    """Sixth-order Magnus exponent of dX/dt = A(t) X over a step of length h.
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked product of (n, k, S) and (k, m, S) arrays, step axis last.
 
-    a (..., 3, n, n) holds A at t + _GL3_NODES * h; h broadcasts against the
-    leading axes.  Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009):
-    a constant A gives exactly h A.
+    k broadcast multiply-adds over contiguous length-S vectors; either S may
+    be 1.  Two 2-D operands are single matrices, multiplied by one matmul.
     """
-    h = np.asarray(h)[..., None, None]
-    a1, a2, a3 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
-    b1 = h * a2
-    b2 = (math.sqrt(15.0) / 3.0) * h * (a3 - a1)
-    b3 = (10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    c1 = comm(b1, b2)
-    c2 = comm(b1, 2.0 * b3 + c1) / -60.0
-    return b1 + b3 / 12.0 + comm(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+    if a.ndim == b.ndim == 2:
+        return a @ b
+    out = a[:, :1] * b[:1]
+    for i in range(1, a.shape[1]):
+        out += a[:, i : i + 1] * b[i : i + 1]
+    return out
 
 
-def _magnus6_exp(a: np.ndarray, h) -> np.ndarray:
-    """exp of _magnus6_omega(a, h): the step's (..., n, n) propagator.
+def _comm(p, q):
+    """Commutator [P, Q] of block upper-triangular generators given as (X, Y, Z) blocks.
 
-    A degree-12 Taylor polynomial of Omega / 2^s, where s brings the 1-norm
-    to at most 1/4 (truncation below 3e-18 of the norm), squared s times.
+    A None Y block is zero, and its products are skipped.
     """
-    x = _magnus6_omega(a, h)
-    s = np.maximum(np.frexp(np.abs(x).sum(-2).max(-1) * 4.0)[1], 0)
-    x = x * np.ldexp(1.0, -s)[..., None, None]
-    eye = np.eye(x.shape[-1])
-    e = eye + x / 12.0
-    for k in range(11, 0, -1):
-        e = eye + (x @ e) / k
-    for j in range(int(s.max(initial=0))):
-        more = s > j
-        e[more] = e[more] @ e[more]
+    (px, py, pz), (qx, qy, qz) = p, q
+    y = [_mul(px, qy) - _mul(qy, pz)] if qy is not None else []
+    if py is not None:
+        y.append(_mul(py, qz) - _mul(qx, py))
+    return _mul(px, qx) - _mul(qx, px), _sum(y), _mul(pz, qz) - _mul(qz, pz)
+
+
+def _sum(terms: list):
+    """Sum of a list of arrays; None, the zero block, when it is empty."""
+    return functools.reduce(operator.add, terms) if terms else None
+
+
+def _combine(*terms):
+    """sum of c P over (c, P) terms of (X, Y, Z) block triples, block by block."""
+    return tuple(_sum([c * p[i] for c, p in terms if p[i] is not None]) for i in range(3))
+
+
+def _add_eye(e: np.ndarray) -> np.ndarray:
+    """e + I for an (n, n, S) stack, in place."""
+    for i in range(e.shape[0]):
+        e[i, i] += 1.0
     return e
+
+
+def _magnus6_block_omega(x: np.ndarray, y: np.ndarray, z: np.ndarray, h):
+    """Sixth-order Magnus exponent of dPhi/dt = [[X(t), Y], [0, Z(t)]] Phi, as (X, Y, Z) blocks.
+
+    Arguments as for _magnus6_block_exp.  Blanes, Casas, Oteo & Ros, Phys.
+    Rep. 470, 151 (2009), from block commutators: a constant generator gives
+    exactly h A, and a Y constant over the step leaves b2 and b3 no Y block.
+    """
+    h = np.asarray(h, dtype=float)
+    h2, h3 = math.sqrt(15.0) / 3.0 * h, 10.0 / 3.0 * h
+    b1 = (h * x[1], h * y, h * z[1])
+    b2 = (h2 * (x[2] - x[0]), None, h2 * (z[2] - z[0]))
+    b3 = (h3 * (x[2] - 2.0 * x[1] + x[0]), None, h3 * (z[2] - 2.0 * z[1] + z[0]))
+    c1 = _comm(b1, b2)
+    c2 = _comm(b1, _combine((2.0, b3), (1.0, c1)))
+    w = _comm(_combine((-20.0, b1), (-1.0, b3), (1.0, c1)), _combine((1.0, b2), (-1.0 / 60.0, c2)))
+    return _combine((1.0, b1), (1.0 / 12.0, b3), (1.0 / 240.0, w))
+
+
+def _magnus6_block_exp(x: np.ndarray, y: np.ndarray, z: np.ndarray, h):
+    """Propagators of dPhi/dt = [[X(t), Y], [0, Z(t)]] Phi over S steps of length h, as blocks.
+
+    x (3, n, n, S) and z (3, m, m, S) hold X and Z at t + _GL3_NODES * h,
+    and y (n, m, S) the Y that is constant over each step, all with the step
+    axis last and contiguous; an S of 1 broadcasts.  h is a scalar or (S,).
+    Returns Phi11 (n, n, S), Phi12 (n, m, S) and Phi22 (m, m, S) of
+    exp(Omega), Omega from _magnus6_block_omega; Phi21 = 0.  exp is a Taylor
+    polynomial of Omega / 2^s in block Horner form, where s brings the
+    1-norm to at most 1/4, squared s times block by block.  Its degree is
+    the least m <= 12 whose truncation term theta^(m+1)/(m+1)! is at most
+    3e-18 at the stack's largest scaled norm theta (m = 12 at theta = 1/4).
+    """
+    ox, oy, oz = _magnus6_block_omega(x, y, z, h)
+    norm = np.maximum(np.abs(ox).sum(0).max(0), (np.abs(oy).sum(0) + np.abs(oz).sum(0)).max(0))
+    s = np.maximum(np.frexp(norm * 4.0)[1], 0)
+    scale = np.ldexp(1.0, -s)
+    theta = float((norm * scale).max(initial=0.0))
+    degree = next((m for m in range(1, 12) if theta ** (m + 1) / math.factorial(m + 1) <= 3e-18), 12)
+    ox, oy, oz = ox * scale, oy * scale, oz * scale
+    e11, e12, e22 = _add_eye(ox / degree), oy / degree, _add_eye(oz / degree)
+    for k in range(degree - 1, 0, -1):  # E = I + Omega E / k, block by block
+        e12 = _mul(ox, e12)
+        e12 += _mul(oy, e22)
+        e11, e22 = _mul(ox, e11), _mul(oz, e22)
+        for e in (e11, e12, e22):
+            e *= 1.0 / k
+        _add_eye(e11), _add_eye(e22)
+    for j in range(int(s.max(initial=0))):
+        more = np.flatnonzero(s > j)
+        p11, p12, p22 = (e.take(more, axis=-1) for e in (e11, e12, e22))
+        e11[..., more], e12[..., more], e22[..., more] = (
+            _mul(p11, p11), _mul(p11, p12) + _mul(p12, p22), _mul(p22, p22)
+        )
+    return e11, e12, e22
 
 
 def dynamic_matrix_at(params: SystemParams, schedule: CouplingSchedule, t: float) -> np.ndarray:

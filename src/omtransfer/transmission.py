@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import build_csv
-from .model import _GL3_NODES, CouplingSchedule, SystemParams, _magnus6_exp, drift_stack
+from .model import _GL3_NODES, CouplingSchedule, SystemParams, _magnus6_block_exp, drift_stack
 
 __all__ = [
     "TransmissionError",
@@ -313,8 +313,11 @@ def _piece_maps(
     The generator [[-iM(t), sqrt(k1) e1, 0], [0, 0, 1], [0, 0, 0]] does not
     depend on the input, so a run of panels with equal length and equal
     couplings at the nodes shares one exponential, and a run of pieces made
-    of the same panels one product.  One schedule call serves both panel
-    counts; n is a power of two.
+    of the same panels one product.  Those exponentials are one call of the
+    block kernel model._magnus6_block_exp, with X = -iM(t), the constant
+    Y = sqrt(k1) e1 (1, 0) and Z = [[0, 1], [0, 0]], the blocks returned
+    step-last and assembled into (P, 5, 5) panels.  One schedule call serves
+    both panel counts; n is a power of two.
     """
     counts = (n, 2 * n)
     h = np.concatenate([np.repeat(lengths / m, m) for m in counts])
@@ -322,12 +325,15 @@ def _piece_maps(
     g1, g2 = schedule.values(t0[:, None] + h[:, None] * _GL3_NODES)
     keys = np.column_stack([h, g1, g2])
     fresh, inverse = _runs(keys)
-    keys = keys[fresh]
-    gen = np.zeros((keys.shape[0], 3, 5, 5), dtype=complex)
-    gen[..., :3, :3] = -1j * drift_stack(params.damping_diagonal, keys[:, 1:4], keys[:, 4:])
-    gen[..., 0, 3] = math.sqrt(params.kappa1)
-    gen[..., 3, 4] = 1.0
-    panels = _magnus6_exp(gen, keys[:, 0])
+    keys = keys[fresh].T
+    m = np.moveaxis(drift_stack(params.damping_diagonal, keys[1:4], keys[4:]), 1, -1)
+    drive, slope = np.zeros((3, 2, 1)), np.zeros((3, 2, 2, 1))  # Y, and Z at the three nodes
+    drive[0, 0], slope[:, 0, 1] = math.sqrt(params.kappa1), 1.0
+    panels = np.zeros((5, 5, keys.shape[1]), dtype=complex)
+    panels[:3, :3], panels[:3, 3:], panels[3:, 3:] = _magnus6_block_exp(
+        np.ascontiguousarray(-1j * m), drive, slope, keys[0]
+    )
+    panels = np.moveaxis(panels, -1, 0)
     products = []
     for index in np.split(inverse, [n * starts.size]):
         index = index.reshape(starts.size, -1)

@@ -96,3 +96,21 @@ def test_trajectory_integrate_evaluates_its_schedule_once_per_chunk(om):
     assert tracer.counts["gaussian.integrate.calls"] == 1
     assert tracer.counts["model.values_calls"] <= math.ceil(n_steps / om.gaussian._CHUNK_STEPS) + 1
     assert tracer.counts["gaussian.states_validated"] == n_steps + 1
+
+
+def test_one_magnus_kernel_serves_both_propagators(om, monkeypatch):
+    # the Gaussian-moment path and the pulse path exponentiate through the same block kernel,
+    # one call per chunk of steps; the full-matrix kernel is gone
+    kernel = om.model._magnus6_block_exp
+    assert om.gaussian._magnus6_block_exp is kernel
+    assert om.transmission._magnus6_block_exp is kernel
+    assert not hasattr(om.model, "_magnus6_exp") and not hasattr(om.model, "_magnus6_omega")
+    workloads = _perfbench("workloads")
+    item = workloads.generate("trajectory_study", 0)[0]
+    workloads.setup(om, [item])
+    prep, t_final = item.prepared, item.spec["T"]
+    n_steps = om.gaussian._step_count(prep["params"], om.gaussian._peak_coupling(prep["schedule"], t_final), t_final)
+    calls = []
+    monkeypatch.setattr(om.gaussian, "_magnus6_block_exp", lambda *args: calls.append(1) or kernel(*args))
+    om.gaussian.integrate(prep["state0"], prep["params"], prep["schedule"], t_final, n_samples=workloads.ALL_SAMPLES)
+    assert len(calls) == math.ceil(n_steps / om.gaussian._CHUNK_STEPS)

@@ -8,7 +8,9 @@ relative.
 It also holds every CSV of the bundled fig2a, fig2b and fig2cd configs,
 written before T(w) became one batched solve.  Headers and row counts must
 match exactly, numbers to 1e-11 relative or 1e-15 absolute: one flip in the
-12th printed digit, plus cancellation in the small T(w) entries.
+12th printed digit, plus cancellation in the small T(w) entries.  The
+bundled engineer_step CSVs, written while the pulse path still exponentiated
+full 5x5 Magnus generators, are held to the same tolerances.
 """
 
 from pathlib import Path
@@ -46,6 +48,7 @@ FIG2_FILES = {
     + ["fig2b_summary.csv"],
     "fig2cd": [f"fig2cd_{i:03d}_{io}.csv" for i in range(1, 3) for io in ("in", "out")]
     + ["fig2cd_summary.csv"],
+    "engineer_step": [f"engineer_step_{part}.csv" for part in ("in", "out", "summary")],
 }
 
 

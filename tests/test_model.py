@@ -16,8 +16,8 @@ from omtransfer.model import (
     TanhRampSchedule,
     TrigSchedule,
     adiabaticity,
-    _magnus6_exp,
-    _magnus6_omega,
+    _magnus6_block_exp,
+    _magnus6_block_omega,
     drift_stack,
     dynamic_matrix_at,
 )
@@ -176,40 +176,119 @@ def test_dynamic_matrix_at_couplings():
     assert_allclose(np.diag(m), [-0.05j, 0.0, -0.1j], rtol=0.0, atol=0.0)
 
 
+# -- frozen full-matrix reference kernel -----------------------------------------
+# The (..., n, n) Magnus-6 kernel as it stood before generators were taken block by block.
+
+def _reference_omega(a, h):
+    h = np.asarray(h)[..., None, None]
+    a1, a2, a3 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
+    b1 = h * a2
+    b2 = (math.sqrt(15.0) / 3.0) * h * (a3 - a1)
+    b3 = (10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    c1 = comm(b1, b2)
+    c2 = comm(b1, 2.0 * b3 + c1) / -60.0
+    return b1 + b3 / 12.0 + comm(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+
+
+def _reference_exp(a, h):
+    x = _reference_omega(a, h)
+    s = np.maximum(np.frexp(np.abs(x).sum(-2).max(-1) * 4.0)[1], 0)
+    x = x * np.ldexp(1.0, -s)[..., None, None]
+    eye = np.eye(x.shape[-1])
+    e = eye + x / 12.0
+    for k in range(11, 0, -1):
+        e = eye + (x @ e) / k
+    for j in range(int(s.max(initial=0))):
+        more = s > j
+        e[more] = e[more] @ e[more]
+    return e
+
+
+def _full(x, y, z):
+    """(S, n + m, n + m) matrices from step-last (n, n, S), (n, m, S) and (m, m, S) blocks."""
+    n, size = x.shape[0], x.shape[0] + z.shape[0]
+    full = np.zeros((x.shape[-1], size, size), dtype=complex)
+    full[:, :n, :n], full[:, :n, n:], full[:, n:, n:] = (np.moveaxis(b, -1, 0) for b in (x, y, z))
+    return full
+
+
+def _random_blocks(rng, m, steps):
+    """Random step-last X (3, 3, S), Y (3, m, S) and Z (m, m, S); Z = -X^H when m = 3, as in integrate."""
+    def draw(rows, cols):
+        return rng.normal(size=(rows, cols, steps)) + 1j * rng.normal(size=(rows, cols, steps))
+
+    x, y = draw(3, 3), draw(3, m)
+    return x, y, -x.conj().swapaxes(0, 1) if m == 3 else draw(m, m)
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_magnus6_of_a_constant_generator_is_expm(n):
+    # block generators of the pulse path (3 + 2) and of integrate's Van Loan form (3 + 3, Z = -X^H)
     rng = np.random.default_rng(n)
     # 1-norms of h A from about 0.01 to 300: up to 11 squarings of the Taylor polynomial
-    scale = np.logspace(-2.5, 1.5, 16)[:, None, None]
-    a = scale * (rng.normal(size=(16, n, n)) + 1j * rng.normal(size=(16, n, n)))
+    scale = np.logspace(-2.5, 1.5, 16)
+    x, y, z = (scale * b for b in _random_blocks(rng, n - 3, 16))
     h = rng.uniform(0.5, 2.0, size=16)
-    nodes = np.repeat(a[:, None], 3, axis=1)
-    assert np.array_equal(_magnus6_omega(nodes, h), h[:, None, None] * a)
-    got = _magnus6_exp(nodes, h)
-    for g, hi, ai in zip(got, h, a):
+    nodes = [np.repeat(b[None], 3, axis=0) for b in (x, z)]
+    omega = _magnus6_block_omega(nodes[0], y, nodes[1], h)
+    assert all(np.array_equal(o, h * b) for o, b in zip(omega, (x, y, z)))
+    got = _full(*_magnus6_block_exp(nodes[0], y, nodes[1], h))
+    for g, hi, ai in zip(got, h, _full(x, y, z)):
         want = expm(hi * ai)
         assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_magnus6_step_is_sixth_order():
-    # A(t) = A0 + t A1 + t^2 A2: one step's error must fall by about 2^7 when h halves
-    rng = np.random.default_rng(3)
-    a0, a1, a2 = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    # A(t) = A0 + t A1 + t^2 A2 with Y constant: one step's error must fall by about 2^7 when h halves
+    for m in (3, 2):
+        rng = np.random.default_rng(3)
+        (x0, y, z0), (x1, _, z1), (x2, _, z2) = (
+            [b[..., 0] for b in _random_blocks(rng, m, 1)] for _ in range(3)
+        )
+        n = 3 + m
 
-    def generator(t):
-        return a0 + t * a1 + t * t * a2
+        def blocks(t):
+            return x0 + t * x1 + t * t * x2, z0 + t * z1 + t * t * z2
 
-    def error(h):
-        def rhs(t, y):
-            x = y[:25] + 1j * y[25:]
-            d = (generator(t) @ x.reshape(5, 5)).ravel()
-            return np.concatenate([d.real, d.imag])
+        def error(h):
+            def rhs(t, v):
+                x, z = blocks(t)
+                a = _full(x[..., None], y[..., None], z[..., None])[0]
+                d = (a @ (v[: n * n] + 1j * v[n * n :]).reshape(n, n)).ravel()
+                return np.concatenate([d.real, d.imag])
 
-        y0 = np.concatenate([np.eye(5).ravel(), np.zeros(25)])
-        y = solve_ivp(rhs, (0.0, h), y0, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
-        want = (y[:25] + 1j * y[25:]).reshape(5, 5)
-        got = _magnus6_exp(np.array([generator(t) for t in h * _GL3_NODES]), h)
-        return np.abs(got - want).max()
+            v0 = np.concatenate([np.eye(n).ravel(), np.zeros(n * n)])
+            v = solve_ivp(rhs, (0.0, h), v0, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+            want = (v[: n * n] + 1j * v[n * n :]).reshape(n, n)
+            x, z = (np.stack(b)[..., None] for b in zip(*(blocks(t) for t in h * _GL3_NODES)))
+            got = _full(*_magnus6_block_exp(x, y[..., None], z, h))[0]
+            return np.abs(got - want).max()
 
-    ratios = [error(h) / error(h / 2) for h in (0.2, 0.1)]
-    assert all(2**6.5 < r < 2**7.5 for r in ratios), ratios
+        ratios = [error(h) / error(h / 2) for h in (0.2, 0.1)]
+        assert all(2**6.5 < r < 2**7.5 for r in ratios), (m, ratios)
+
+
+def test_block_kernel_matches_the_full_matrix_kernel_on_a_trajectory_chunk():
+    # the first 1,024 steps of perfbench's trajectory_study seed-0 trig case, as integrate takes them
+    params = SystemParams(kappa1=0.011751, kappa2=0.00962291, gamma_m=0.000123815, n_th=2.0)
+    schedule = TrigSchedule(amplitude=1.0, duration=100.0)
+    h = 100.0 / 10**4
+    ts = (np.arange(1024) + _GL3_NODES[:, None]) * h
+    b = 1j * drift_stack(params.damping_diagonal, *schedule.values(ts)).conj()  # (node, step, 3, 3)
+    diffusion = np.zeros((3, 3))
+    diffusion[1, 1] = params.gamma_m * params.n_th
+    generator = np.zeros((3, 1024, 6, 6), dtype=complex)
+    generator[..., :3, :3] = b
+    generator[..., :3, 3:] = diffusion
+    generator[..., 3:, 3:] = -b.conj().swapaxes(-1, -2)
+    want = _reference_exp(np.moveaxis(generator, 0, 1), h)
+    x = np.ascontiguousarray(np.moveaxis(b, 1, -1))
+    got = _full(*_magnus6_block_exp(x, diffusion[..., None], np.ascontiguousarray(-x.conj().swapaxes(1, 2)), h))
+    assert np.array_equal(want[:, 3:, :3], np.zeros((1024, 3, 3)))
+    for rows, cols in ((slice(3), slice(3)), (slice(3), slice(3, 6)), (slice(3, 6), slice(3, 6))):
+        block = want[:, rows, cols]
+        assert np.abs(got[:, rows, cols] - block).max() <= 1e-14 * np.abs(block).max()

@@ -220,7 +220,8 @@ def test_doubled_diffusion_fails_the_accuracy_oracle(monkeypatch):
 # measured on fig1c: F within 2.9e-15 and delta_F within 4.4e-12 of the 16,000-step run
 # (fig1c_squeezed: 5.3e-15 and 8.4e-12); the batched RK4 above is 3.0e-13 and 1.1e-11 away
 def test_integrate_fig1c_rows_are_close_to_the_converged_reference():
-    f_num, delta_f = _fidelities("fig1c", serial=True)
-    f_ref, delta_ref = _converged("fig1c")
-    np.testing.assert_allclose(f_num, f_ref, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(delta_f, delta_ref, rtol=1e-11, atol=0.0)
+    for name in ("fig1c", "fig1c_squeezed"):
+        f_num, delta_f = _fidelities(name, serial=True)
+        f_ref, delta_ref = _converged(name)
+        np.testing.assert_allclose(f_num, f_ref, rtol=1e-13, atol=0.0, err_msg=name)
+        np.testing.assert_allclose(delta_f, delta_ref, rtol=1e-11, atol=0.0, err_msg=name)
