@@ -21,6 +21,7 @@ cross-checked by an independent truncated Fock-basis oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -90,6 +91,9 @@ class SingleModeGaussian:
         return np.array([2.0 * self.mean.real, 2.0 * self.mean.imag])
 
 
+_SCREEN_SHIFT = 0.25e-8  # below the check's 0.5e-8 (see _first_fault)
+
+
 def _first_fault(
     mean: np.ndarray, normal: np.ndarray, anomalous: np.ndarray
 ) -> tuple[int, GaussianError] | None:
@@ -98,6 +102,18 @@ def _first_fault(
     The first faulty row reports the first of the checks below that it fails.
     sigma + i Omega = 2 U R U^+ for a unitary U, with R = [[1 + N^T, A], [A*, N]]
     the Gram matrix of the fluctuations (da, da^+); the defect is 2 min eig R.
+
+    The uncertainty check rejects defect < -1e-8 scale, that is min eig R <
+    -0.5e-8 scale.  One batched Cholesky factorization of R + c scale I
+    screens the whole stack first: a Hermitian matrix has a Cholesky factor
+    exactly when it is positive definite (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10), so a stack that factors has min eig R >
+    -c scale, up to a backward error near 1e-15 scale, on every row.  Only a
+    stack that fails to factor runs eigvalsh, so every message and defect
+    is the same as without the screen.  c must stay below 0.5e-8, or the
+    screen would pass rows the check rejects; c = 0.25e-8 keeps it 0.25e-8
+    scale from that bound and from pure states, whose min eig R is 0 up to
+    rounding.  Both routines read R's lower triangle.
     """
     gram = np.empty((len(normal), 6, 6), dtype=complex)
     gram[:, :3, :3] = normal.swapaxes(1, 2) + np.eye(3)
@@ -110,7 +126,13 @@ def _first_fault(
     scale = np.maximum(1.0, np.abs(gram[:, :, 3:]).max(axis=(1, 2)))
     # R is Hermitian exactly when N is Hermitian and A symmetric
     asym = np.abs(gram - gram.conj().swapaxes(1, 2)) > 1e-8 * scale[:, None, None]
-    defect = 2.0 * np.linalg.eigvalsh(gram)[:, 0]
+    shifted = gram.copy()
+    shifted[:, range(6), range(6)] += _SCREEN_SHIFT * scale[:, None]
+    try:
+        np.linalg.cholesky(shifted)
+        defect = np.zeros(len(gram))
+    except np.linalg.LinAlgError:
+        defect = 2.0 * np.linalg.eigvalsh(gram)[:, 0]
     checks = (
         ("moments must be finite", ~finite),
         ("normal moment block must be Hermitian", asym[:, 3:, 3:].any(axis=(1, 2))),
@@ -159,12 +181,39 @@ class ThreeModeGaussianState:
         return state
 
 
+class _StateView(Sequence):
+    """Read-only sequence of a Trajectory's states, each built on access from its stacks."""
+
+    def __init__(self, traj: "Trajectory") -> None:
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.times)
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]  # negative indices, bounds and slices as for a list
+        if isinstance(picked, range):
+            return [self[i] for i in picked]
+        traj = self._traj
+        return ThreeModeGaussianState._prechecked(traj.mean[picked], traj.normal[picked], traj.anomalous[picked])
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled moment trajectory including both endpoints."""
+    """Sampled moment trajectory including both endpoints, held as stacks.
+
+    times is (S,), mean (S, 3), and normal and anomalous (S, 3, 3); states
+    is a read-only sequence of ThreeModeGaussianState views of those rows.
+    """
 
     times: np.ndarray
-    states: list[ThreeModeGaussianState]
+    mean: np.ndarray
+    normal: np.ndarray
+    anomalous: np.ndarray
+
+    @property
+    def states(self) -> Sequence[ThreeModeGaussianState]:
+        return _StateView(self)
 
     @property
     def final(self) -> ThreeModeGaussianState:
@@ -417,24 +466,26 @@ def integrate(
     embed_initial builds stay as they are, and an input Hermitian only
     within the validator's 1e-8 loses its anti-Hermitian residue.  Every
     recorded sample is validated as a state, one stacked validator call per
-    chunk of steps; a failure names the time of the first faulty sample.
-    integrate_batch still runs the RK4 kernel, so its final states differ
-    from these by the RK4's truncation error.
+    chunk of steps, which a batched Cholesky screen settles unless the chunk
+    holds a state near or past the uncertainty bound (see _first_fault); a
+    failure names the time of the first faulty sample.  The samples are
+    returned as stacks, concatenated once: Trajectory.states builds each
+    ThreeModeGaussianState only when it is read.  integrate_batch still runs
+    the RK4 kernel, so its final states differ from these by the RK4's
+    truncation error.
     """
     if t_final <= 0:
         raise GaussianError("t_final must be positive")
     _check([0.0], state0.mean[None], state0.normal[None], state0.anomalous[None])
     n_steps = _step_count(params, _peak_coupling(schedule, t_final), t_final)
-    times = [np.zeros(1)]
-    states = [state0]
+    chunks = [(np.zeros(1), state0.mean[None], state0.normal[None], state0.anomalous[None])]
     samples = _magnus_samples(
         state0.mean, state0.normal, state0.anomalous, params, schedule, t_final, n_steps, n_samples
     )
-    for t, mean, normal, anomalous in samples:
-        _check(t, mean, normal, anomalous)
-        states.extend(map(ThreeModeGaussianState._prechecked, mean, normal, anomalous))
-        times.append(t)
-    return Trajectory(times=np.concatenate(times), states=states)
+    for chunk in samples:
+        _check(*chunk)
+        chunks.append(chunk)
+    return Trajectory(*(np.concatenate(field) for field in zip(*chunks)))
 
 
 def integrate_batch(

@@ -104,22 +104,27 @@ def _tracked(mats: np.ndarray, reference: np.ndarray | None = None) -> list[Eige
     else:
         chain = np.concatenate([reference[None], raw])
         first, phase0 = np.arange(3), np.ones(3)
-    # overlaps[k, j, l] = <column j of step k, column l of step k + 1>; the best
-    # permutation of raw columns does not depend on the order chosen before
-    overlaps = np.einsum("kij,kil->kjl", chain[:-1].conj(), chain[1:])
-    scores = np.abs(overlaps)[:, np.arange(3), _PERMUTATIONS].sum(axis=2)
-    sigma = _PERMUTATIONS[scores.argmax(axis=1)]
-    matched = np.take_along_axis(overlaps, sigma[:, :, None], axis=2)[..., 0]
-    orders = [first.tolist()]
-    for step in sigma.tolist():
-        orders.append([step[j] for j in orders[-1]])
-    order = np.array(orders)
-    along = np.take_along_axis(matched, order[:-1], axis=1)
-    lost = np.abs(along) < 0.5
-    if lost.any():
-        k, i = np.argwhere(lost)[0]
-        raise SpectralError(f"continuity tracking lost mode {i}: overlap {abs(along[k, i]):.3f}")
-    phase = phase0 * np.cumprod(np.concatenate([np.ones((1, 3)), along.conj() / np.abs(along)]), axis=0)
+    if len(chain) == 1:
+        # a lone unreferenced matrix has nothing to match; the complex ones stand for
+        # the phase product's first row, so the result keeps the bits of a sweep's first step
+        order, phase = first[None], phase0 * np.ones((1, 3), dtype=complex)
+    else:
+        # overlaps[k, j, l] = <column j of step k, column l of step k + 1>; the best
+        # permutation of raw columns does not depend on the order chosen before
+        overlaps = np.einsum("kij,kil->kjl", chain[:-1].conj(), chain[1:])
+        scores = np.abs(overlaps)[:, np.arange(3), _PERMUTATIONS].sum(axis=2)
+        sigma = _PERMUTATIONS[scores.argmax(axis=1)]
+        matched = np.take_along_axis(overlaps, sigma[:, :, None], axis=2)[..., 0]
+        orders = [first.tolist()]
+        for step in sigma.tolist():
+            orders.append([step[j] for j in orders[-1]])
+        order = np.array(orders)
+        along = np.take_along_axis(matched, order[:-1], axis=1)
+        lost = np.abs(along) < 0.5
+        if lost.any():
+            k, i = np.argwhere(lost)[0]
+            raise SpectralError(f"continuity tracking lost mode {i}: overlap {abs(along[k, i]):.3f}")
+        phase = phase0 * np.cumprod(np.concatenate([np.ones((1, 3)), along.conj() / np.abs(along)]), axis=0)
     phase /= np.abs(phase)  # keep the running product from drifting off the unit circle
     if reference is not None:
         order, phase = order[1:], phase[1:]
@@ -182,7 +187,7 @@ def dark_mode_exact(m: np.ndarray) -> DarkMode:
     """Select the exact eigenmode of the drift matrix m closest to the ideal dark vector."""
     ideal = _ideal_dark_vector(m[0, 1].real, m[1, 2].real)
     es = eigensystem(m)
-    overlaps = [abs(np.vdot(ideal, es.vectors[:, i])) for i in range(3)]
+    overlaps = np.abs(ideal.conj() @ es.vectors)
     ranked = sorted(range(3), key=lambda i: -overlaps[i])
     if overlaps[ranked[0]] - overlaps[ranked[1]] < 1e-6:
         raise SpectralError(

@@ -3,7 +3,9 @@
 perfbench's tracer replaces package functions by name, and its workloads
 call a few library functions directly.  Deleting or renaming one of them
 breaks every benchmark run, so these tests fail first.  They load
-perfbench's own modules and change nothing there.
+perfbench's own modules and change nothing there.  The last ones pin the
+fast paths the workloads take: physicality validation that settles clean
+chunks without eigvalsh, and lone eigensystems that skip mode matching.
 """
 
 import importlib.util
@@ -114,3 +116,36 @@ def test_one_magnus_kernel_serves_both_propagators(om, monkeypatch):
     monkeypatch.setattr(om.gaussian, "_magnus6_block_exp", lambda *args: calls.append(1) or kernel(*args))
     om.gaussian.integrate(prep["state0"], prep["params"], prep["schedule"], t_final, n_samples=workloads.ALL_SAMPLES)
     assert len(calls) == math.ceil(n_steps / om.gaussian._CHUNK_STEPS)
+
+
+def test_clean_chunks_skip_eigvalsh_and_a_faulty_chunk_calls_it_once(om, monkeypatch):
+    # the Cholesky screen settles every clean chunk of integrate; eigvalsh runs only for a
+    # chunk with a faulty row, once for the whole chunk
+    workloads = _perfbench("workloads")
+    item = workloads.generate("trajectory_study", 0)[0]
+    workloads.setup(om, [item])
+    prep, t_final = item.prepared, item.spec["T"]
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    traj = om.gaussian.integrate(prep["state0"], prep["params"], prep["schedule"], t_final, n_samples=workloads.ALL_SAMPLES)
+    assert len(traj.times) > om.gaussian._CHUNK_STEPS and calls == []
+    chunk = slice(1, 1 + om.gaussian._CHUNK_STEPS)  # integrate's first chunk of 1,024 states
+    mean, normal, anomalous = traj.mean[chunk], traj.normal[chunk], traj.anomalous[chunk].copy()
+    assert om.gaussian._first_fault(mean, normal, anomalous) is None and calls == []
+    anomalous[500, 0, 0] += 5.0  # |m|^2 far above n(n+1)
+    row, error = om.gaussian._first_fault(mean, normal, anomalous)
+    assert (row, type(error)) == (500, om.gaussian.PhysicalityError) and calls == [1024]
+
+
+@pytest.mark.parametrize("damping", [(0.1, 0.2, 0.01), (0.0, 0.0, 0.0)])
+def test_lone_eigensystem_equals_the_first_step_of_a_sweep(om, damping):
+    # skipping the mode matching for one unreferenced matrix keeps every bit of the sweep's
+    # result; without damping the eigenvectors are real, and zero signs would show a change
+    params = om.model.SystemParams(*damping, 1.0)
+    schedule = om.model.TrigSchedule(amplitude=1.0, duration=100.0)
+    h = 1e-3
+    for t in np.linspace(0.0, schedule.duration - h, 200):
+        lone = om.spectral.eigensystem(om.model.dynamic_matrix_at(params, schedule, float(t)))
+        first = om.spectral.eigensystem_sweep(params, schedule, [t, t + h])[0]
+        for field in ("lambdas", "vectors", "inverse"):
+            assert getattr(lone, field).tobytes() == getattr(first, field).tobytes()

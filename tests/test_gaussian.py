@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -358,6 +359,121 @@ def test_uncertainty_test_matches_quadrature_covariance():
     assert outcomes == {True, False}
 
 
+def _first_fault_by_eigvalsh(mean, normal, anomalous):
+    """gaussian._first_fault as it was before the Cholesky screen: eigvalsh on every row."""
+    gram = np.empty((len(normal), 6, 6), dtype=complex)
+    gram[:, :3, :3] = normal.swapaxes(1, 2) + np.eye(3)
+    gram[:, :3, 3:] = anomalous
+    gram[:, 3:, :3] = anomalous.conj()
+    gram[:, 3:, 3:] = normal
+    finite = np.isfinite(mean).all(axis=1) & np.isfinite(gram).all(axis=(1, 2))
+    gram[~finite] = 0.0
+    scale = np.maximum(1.0, np.abs(gram[:, :, 3:]).max(axis=(1, 2)))
+    asym = np.abs(gram - gram.conj().swapaxes(1, 2)) > 1e-8 * scale[:, None, None]
+    defect = 2.0 * np.linalg.eigvalsh(gram)[:, 0]
+    checks = (
+        ("moments must be finite", ~finite),
+        ("normal moment block must be Hermitian", asym[:, 3:, 3:].any(axis=(1, 2))),
+        ("anomalous moment block must be symmetric", asym[:, :3, 3:].any(axis=(1, 2))),
+        ("normal moments have a negative occupation",
+         normal.real.diagonal(axis1=1, axis2=2).min(axis=1) < -1e-10 * scale),
+        ("covariance violates the uncertainty relation", defect < -1e-8 * scale),
+    )
+    bad = np.array([fails for _, fails in checks])
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad.any(axis=0)))
+    kind = int(np.argmax(bad[:, row]))
+    message = checks[kind][0]
+    if kind == len(checks) - 1:
+        return row, PhysicalityError(f"{message} (defect {defect[row]:.3e})")
+    return row, GaussianError(message)
+
+
+def _stack(states):
+    return [np.array([getattr(st, f) for st in states]) for f in ("mean", "normal", "anomalous")]
+
+
+def _raw_state(n, m):
+    """One-mode moments N = diag(n, 0, 0), A = diag(m, 0, 0), bypassing the constructor's check."""
+    state = object.__new__(ThreeModeGaussianState)
+    object.__setattr__(state, "mean", np.zeros(3, dtype=complex))
+    object.__setattr__(state, "normal", np.diag([n, 0.0, 0.0]).astype(complex))
+    object.__setattr__(state, "anomalous", np.diag([m, 0.0, 0.0]).astype(complex))
+    return state
+
+
+def _below_bound(fractions):
+    """States whose min eig of the Gram matrix R is fraction * scale, fraction < 0.
+
+    With |m| given, [[1 + n, m], [m*, n]] has min eig n + 1/2 - sqrt(1/4 + |m|^2); the
+    vacuum modes add eigenvalues 0 and 1, and scale = max(1, |m|) as n < |m|.
+    """
+    return [
+        _raw_state(math.sqrt(0.25 + size**2) - 0.5 + fraction * max(1.0, size), size * phase)
+        for fraction in fractions
+        for size in (0.3, 1.0, 10.0, 1e3, 1.1e4)
+        for phase in (1.0, np.exp(0.7j), -1j)
+    ]
+
+
+# the cases of test_strongly_squeezed_states_are_physical
+_SQUEEZED = [
+    embed_initial(make_squeezed_coherent(1.0, float(r), phi), 0.0)
+    for r in np.arange(0.0, 6.0, 0.01) for phi in (0.0, 0.3, 1.1)
+]
+_SQ5 = make_squeezed_coherent(0.0, 5.0, 0.3)
+_BOUNDARY = [_raw_state(_SQ5.n_ex * (1.0 - 1e-6), _SQ5.m_an)]
+# min eig R in (-0.5e-8, -0.25e-8) scale: the screen of shift 0.25e-8 rejects them, eigvalsh accepts
+_SCREENED_OUT = _below_bound([-0.3e-8, -0.375e-8, -0.45e-8])
+# min eig R in (-1e-8, -0.5e-8) scale: eigvalsh rejects them, a screen of shift 1e-8 would pass them
+_JUST_UNPHYSICAL = _below_bound([-0.55e-8, -0.75e-8, -0.95e-8])
+
+
+def _compare_with_eigvalsh(monkeypatch, states):
+    """_first_fault of the stacked states, checked against the eigvalsh-only reference; returns
+    the reference's result and the eigvalsh calls _first_fault made."""
+    stacks = _stack(states)
+    want = _first_fault_by_eigvalsh(*stacks)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    got = gaussian._first_fault(*stacks)
+    monkeypatch.undo()
+    if want is None:
+        assert got is None
+    else:
+        assert (got[0], type(got[1]), str(got[1])) == (want[0], type(want[1]), str(want[1]))
+    return want, len(calls)
+
+
+@pytest.mark.parametrize(
+    "states,eigvalsh_calls",
+    [
+        (_SQUEEZED, 0),
+        (_BOUNDARY, 1),
+        (_SCREENED_OUT, 1),
+        (_JUST_UNPHYSICAL, 1),
+        (_SQUEEZED + _SCREENED_OUT + _BOUNDARY + _JUST_UNPHYSICAL, 1),
+        (_SQUEEZED + _SCREENED_OUT + _JUST_UNPHYSICAL + _BOUNDARY, 1),
+    ],
+    ids=["squeezed", "boundary", "screened_out", "just_unphysical", "all", "all_reordered"],
+)
+def test_cholesky_screen_reports_what_eigvalsh_alone_reports(monkeypatch, states, eigvalsh_calls):
+    want, calls = _compare_with_eigvalsh(monkeypatch, states)
+    assert calls == eigvalsh_calls
+    assert (want is None) == (states is _SQUEEZED or states is _SCREENED_OUT)
+
+
+@pytest.mark.parametrize("states", [_SCREENED_OUT, _JUST_UNPHYSICAL], ids=["screened_out", "just_unphysical"])
+def test_cholesky_screen_rejects_each_state_near_the_bound(monkeypatch, states):
+    # alone, every state within 0.5e-8 scale below the bound fails the screen and
+    # goes to eigvalsh, which accepts it above 0.5e-8 scale and rejects it below
+    for state in states:
+        want, calls = _compare_with_eigvalsh(monkeypatch, [state])
+        assert calls == 1
+        assert (want is None) == (states is _SCREENED_OUT)
+
+
 def test_nearly_hermitian_input_is_symmetrized_once():
     # a residue inside the validator's 1e-8 tolerance: anti-Hermitian in N, antisymmetric in A
     clean = embed_initial(make_squeezed_coherent(0.7 - 0.2j, 0.4, 0.3), 1.5)
@@ -526,6 +642,31 @@ def test_trajectory_times_are_the_step_grid(schedule, params, n_samples):
     want = np.array([0.0] + [t_final if k == n else k * h for k in ends])
     assert traj.times.tobytes() == want.tobytes()
     assert len(traj.states) == len(want)
+
+
+def test_trajectory_states_view_its_stacks():
+    p = SystemParams(kappa1=0.3, kappa2=0.1, gamma_m=2e-3, n_th=4.0)
+    st0 = embed_initial(make_squeezed_coherent(0.7 - 0.2j, 0.4, 0.3), 1.5)
+    traj = integrate(st0, p, FIG1, FIG1.duration, n_samples=11)
+    states = traj.states
+    assert isinstance(states, Sequence) and len(states) == len(traj.times) == 11
+
+    def rows_equal(state, k):
+        return all(getattr(state, f).tobytes() == getattr(traj, f)[k].tobytes() for f in ("mean", "normal", "anomalous"))
+
+    everything = list(states)  # iteration runs to the end and stops
+    assert len(everything) == 11 and all(rows_equal(st, k) for k, st in enumerate(everything))
+    assert rows_equal(states[-1], 10) and rows_equal(states[-11], 0) and rows_equal(states[np.int64(3)], 3)
+    assert rows_equal(traj.final, 10)  # so traj.final equals traj.states[-1]
+    picked = states[1:8:3]
+    assert len(picked) == 3 and all(rows_equal(st, k) for st, k in zip(picked, (1, 4, 7)))
+    assert rows_equal(states[::-1][0], 10) and states[20:] == []
+    assert st0.normal.tobytes() == states[0].normal.tobytes()
+    for bad in (11, -12):
+        with pytest.raises(IndexError):
+            states[bad]
+    with pytest.raises(TypeError):
+        states[0] = st0
 
 
 def _mean_reference(schedule, params, mean0, t_final):
