@@ -82,12 +82,13 @@ def f_integral(
 ) -> float:
     """Dark-mode decay exponent f(t,T) by composite 16-node Gauss-Lobatto quadrature.
 
-    The interval edges are t, T and every schedule breakpoint strictly between
-    them, where the integrand may have a kink.  Each interval is split into n
-    equal panels for n = 1, 2, 4, ..., with all nodes of one n evaluated in
+    The interval edges are t, T and the schedule's kinks strictly between
+    them (CouplingSchedule.kinks), where the integrand may kink.  Each
+    interval is split into n equal panels for n = 1, 2, 4, ..., with all
+    nodes of one n evaluated in
     one schedule call, until two successive sums differ by at most tol; the
     finer sum is returned.  Doubling past _MAX_PANELS panels in all, or past
-    4 per interval on schedules with more breakpoints, raises.
+    4 per interval on schedules with more kinks, raises.
     The Lobatto nodes include every panel end, so a ramp narrower than a panel
     at an interval end still moves the sum, and a g0 vanishing there raises.
     """
@@ -96,7 +97,7 @@ def f_integral(
     if t == T:
         return 0.0
 
-    edges = np.array([t, *(b for b in getattr(schedule, "times", ()) if t < b < T), T])
+    edges = np.array([t, *schedule.kinks(t, T), T])
     n, previous = 1, None
     while True:
         grid = np.linspace(edges[:-1], edges[1:], n + 1, axis=1)

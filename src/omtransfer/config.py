@@ -17,6 +17,7 @@ serialize_config writes every field that is not None.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from dataclasses import MISSING, dataclass
@@ -283,6 +284,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _validate(config: ScenarioConfig) -> None:
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
     if config.r < 0:
         raise ConfigError("squeezing r must be non-negative")
     if config.mech_occupation < 0:
@@ -294,6 +299,8 @@ def _validate(config: ScenarioConfig) -> None:
     if config.scenario in ("transmit", "engineer"):
         if config.sigma_omega is None or config.sigma_omega <= 0:
             raise ConfigError(f"{config.scenario} scenario needs [pulse] sigma_omega > 0")
+        if config.pulse_amplitude == 0:
+            raise ConfigError("[pulse] amplitude must be nonzero")
         n = config.pulse_points
         if n < 16 or (n & (n - 1)) != 0:
             raise ConfigError("[pulse] n_points must be a power of two >= 16")

@@ -65,6 +65,8 @@ class SingleModeGaussian:
     m_an: complex
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.mean, self.n_ex, self.m_an]).all():
+            raise GaussianError("moments must be finite")
         if self.n_ex < 0:
             raise GaussianError(f"n_ex must be non-negative, got {self.n_ex}")
         # 2 min eig of the Gram matrix [[1 + n, m], [m*, n]], bounded as in _first_fault:
@@ -278,9 +280,9 @@ def _diffusion(params_seq) -> np.ndarray:
 
 
 def _peak_coupling(schedule: CouplingSchedule, t_final: float) -> float:
-    # each |g_i| of a piecewise-linear schedule peaks at a breakpoint, which the grid may step over
-    breaks = [b for b in getattr(schedule, "times", ()) if 0.0 < b < t_final]
-    return float(np.abs(schedule.values(np.append(t_final * np.arange(257) / 256.0, breaks))).max())
+    # each |g_i| of a piecewise-linear schedule peaks at a kink, which the grid may step over
+    grid = np.append(t_final * np.arange(257) / 256.0, schedule.kinks(0.0, t_final))
+    return float(np.abs(schedule.values(grid)).max())
 
 
 def _step_count(params: SystemParams, g_max: float, t_final: float) -> int:
@@ -348,8 +350,8 @@ def _advance(e, q, mean, normal, anomalous):
     """Moments moved by the affine maps (E, Q): E* mean, E* A E*^T and E N E^H + Q.
 
     Step axis last: e, q, normal and anomalous are (3, 3, S) and mean (3, S),
-    or one (3, 3) map acts on one (3,) and (3, 3) state.  The returned N is
-    exactly Hermitian and A exactly symmetric.
+    where an S of 1 broadcasts, so one state moves by S maps at once.  The
+    returned N is exactly Hermitian and A exactly symmetric.
     """
     ec = e.conj()
     eh = ec.swapaxes(0, 1)
@@ -369,9 +371,11 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
     Q = Phi12 Phi11^H (see _advance).  Each chunk makes one schedule call at
     every step's Gauss-Legendre nodes and one model._magnus6_block_exp call
     on the blocks X = B, Y = D and Z = -B^H, step axis last.  Its maps
-    compose by an inclusive prefix scan in about sqrt(chunk) blocks: step by
-    step inside every block at once, (E2, Q2) after (E1, Q1) being
-    (E2 E1, E2 Q1 E2^H + Q2), then block by block on the state.  Composing
+    compose by an inclusive doubling scan (Hillis & Steele, CACM 29, 1986):
+    for d = 1, 2, 4, ... < S, every step k >= d becomes (E_k E_{k-d},
+    E_k Q_{k-d} E_k^H + Q_k), pair k - d followed by pair k.  Step k then
+    holds the map from the chunk's start, so one _advance of the start
+    state gives every sample and another the next chunk's start.  Composing
     pairs, not the raw 6x6 products, keeps the scan bounded: their Phi22
     overflows past kappa T ~ 1400.  The scan, the state and the samples stay
     step-last, (3, 3, S), and are transposed to (S, 3, 3) stacks on yield.
@@ -380,8 +384,9 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
     h = t_final / n_steps
     record_every = max(1, n_steps // max(1, n_samples - 1))
     diffusion = _diffusion([params])[0]
-    normal = 0.5 * (normal + normal.conj().T)
-    anomalous = 0.5 * (anomalous + anomalous.T)
+    mean = mean[:, None]
+    normal = 0.5 * (normal + normal.conj().T)[..., None]
+    anomalous = 0.5 * (anomalous + anomalous.T)[..., None]
     for k0 in range(0, n_steps, _CHUNK_STEPS):
         ends = np.arange(k0 + 1, min(k0 + _CHUNK_STEPS, n_steps) + 1)
         # the last nodes may overshoot the schedule end by rounding; clamp
@@ -389,30 +394,17 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
         m = np.moveaxis(drift_stack(params.damping_diagonal, *schedule.values(ts)), 1, -1)
         b = np.ascontiguousarray(1j * m.conj())  # (node, 3, 3, step)
         minus_bh = np.ascontiguousarray(-b.conj().swapaxes(1, 2))
-        e11, e12, _ = _magnus6_block_exp(b, diffusion[..., None], minus_bh, h)
-        width = math.isqrt(len(ends) - 1) + 1
-        blocks = -(-len(ends) // width)
-        # identity steps pad the last block; then (3, 3, width, blocks) makes slot j of every block contiguous
-        e = np.eye(3, dtype=complex)[..., None].repeat(blocks * width, axis=-1)
-        q = np.zeros_like(e)
-        e[..., : len(ends)] = e11
-        q[..., : len(ends)] = _mul(e12, e11.conj().swapaxes(0, 1))
-        e = e.reshape(3, 3, blocks, width).swapaxes(2, 3).copy()
-        q = q.reshape(3, 3, blocks, width).swapaxes(2, 3).copy()
-        for j in range(1, width):
-            ej = e[:, :, j]
-            q[:, :, j] += _mul(_mul(ej, q[:, :, j - 1]), ej.conj().swapaxes(0, 1))
-            e[:, :, j] = _mul(ej, e[:, :, j - 1])
-        starts = []
-        for i in range(blocks):
-            starts.append((mean, normal, anomalous))
-            mean, normal, anomalous = _advance(e[:, :, -1, i], q[:, :, -1, i], mean, normal, anomalous)
+        e, e12, _ = _magnus6_block_exp(b, diffusion[..., None], minus_bh, h)
+        q = _mul(e12, e.conj().swapaxes(0, 1))
+        d = 1
+        while d < len(ends):
+            ek = e[..., d:]
+            q[..., d:] += _mul(_mul(ek, q[..., :-d]), ek.conj().swapaxes(0, 1))
+            e[..., d:] = _mul(ek, e[..., :-d])
+            d *= 2
         recorded = (ends % record_every == 0) | (ends == n_steps)
-        at = np.flatnonzero(recorded)
-        block = at // width
-        index = at % width * blocks + block  # take copies, keeping the step axis contiguous
-        begin = (np.stack(field, axis=-1).take(block, axis=-1) for field in zip(*starts))
-        samples = _advance(*(f.reshape(3, 3, -1).take(index, axis=-1) for f in (e, q)), *begin)
+        samples = _advance(e[..., recorded], q[..., recorded], mean, normal, anomalous)
+        mean, normal, anomalous = _advance(e[..., -1:], q[..., -1:], mean, normal, anomalous)
         times = np.where(ends[recorded] == n_steps, t_final, ends[recorded] * h)
         yield (times, *(np.ascontiguousarray(np.moveaxis(f, -1, 0)) for f in samples))
 
@@ -460,7 +452,7 @@ def integrate(
 
     The grid is fixed: h = T / n for the least n with h <= min(T/2000, 0.01,
     0.01/max(kappa1, kappa2, gamma_m, g)), g the peak coupling on 257 grid
-    times and the schedule's breakpoints, and every max(1, n // (n_samples -
+    times and the schedule's kinks, and every max(1, n // (n_samples -
     1))-th step and the last are recorded.  The input state is validated,
     then N and A are symmetrized once on load: the exact blocks
     embed_initial builds stay as they are, and an input Hermitian only

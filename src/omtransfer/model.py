@@ -22,7 +22,7 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,6 +81,10 @@ class SystemParams:
     detuning2: float | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ModelError(f"{f.name} must be finite, got {value}")
         for name in ("kappa1", "kappa2", "gamma_m", "n_th"):
             if getattr(self, name) < 0:
                 raise ModelError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -121,16 +125,27 @@ class CouplingSchedule:
     values, derivatives and g0 take a 0-d or n-d float t and return arrays
     of its shape; subclasses write one numpy formula that serves both.
     Every time must lie in [0, duration], or ModelError names the first one
-    outside it (NaN included).
+    outside it (NaN included).  A schedule is built from finite numbers
+    only; ConstantCoupling alone may last forever.
     """
 
     duration: float
+
+    def _check_finite(self, *names: str) -> None:
+        for name in names:
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ModelError(f"{type(self).__name__} {name} must be finite, got {value}")
 
     def values(self, t) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def kinks(self, lo: float, hi: float) -> np.ndarray:
+        """Times strictly between lo and hi where the couplings may kink; none by default."""
+        return np.empty(0)
 
     def _check_domain(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -152,6 +167,11 @@ class ConstantCoupling(CouplingSchedule):
     g1: float
     g2: float
     duration: float = math.inf
+
+    def __post_init__(self) -> None:
+        self._check_finite("g1", "g2")
+        if not self.duration > 0:
+            raise ModelError(f"ConstantCoupling requires a positive duration, got {self.duration}")
 
     def values(self, t) -> tuple[np.ndarray, np.ndarray]:
         t = self._check_domain(t)
@@ -177,6 +197,7 @@ class TrigSchedule(CouplingSchedule):
     duration: float
 
     def __post_init__(self) -> None:
+        self._check_finite("amplitude", "duration")
         if self.amplitude <= 0 or self.duration <= 0:
             raise ModelError("TrigSchedule requires positive amplitude and duration")
 
@@ -204,6 +225,7 @@ class PiecewiseLinearSchedule(CouplingSchedule):
     duration: float = field(init=False)
 
     def __post_init__(self) -> None:
+        self._check_finite("times", "g1_values", "g2_values")
         if len(self.times) < 2 or len(self.times) != len(self.g1_values) or len(
             self.times
         ) != len(self.g2_values):
@@ -213,6 +235,11 @@ class PiecewiseLinearSchedule(CouplingSchedule):
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ModelError("breakpoint times must be strictly increasing")
         object.__setattr__(self, "duration", self.times[-1])
+
+    def kinks(self, lo: float, hi: float) -> np.ndarray:
+        """The breakpoints strictly between lo and hi."""
+        times = np.array(self.times)
+        return times[(lo < times) & (times < hi)]
 
     def values(self, t) -> tuple[np.ndarray, np.ndarray]:
         t = self._check_domain(t)
@@ -243,6 +270,7 @@ class TanhRampSchedule(CouplingSchedule):
     duration: float
 
     def __post_init__(self) -> None:
+        self._check_finite("g_max", "center", "width", "duration")
         if self.g_max <= 0 or self.width <= 0 or self.duration <= 0:
             raise ModelError("TanhRampSchedule requires positive g_max, width, duration")
 
@@ -277,10 +305,8 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stacked product of (n, k, S) and (k, m, S) arrays, step axis last.
 
     k broadcast multiply-adds over contiguous length-S vectors; either S may
-    be 1.  Two 2-D operands are single matrices, multiplied by one matmul.
+    be 1.
     """
-    if a.ndim == b.ndim == 2:
-        return a @ b
     out = a[:, :1] * b[:1]
     for i in range(1, a.shape[1]):
         out += a[:, i : i + 1] * b[i : i + 1]
@@ -380,13 +406,20 @@ def adiabaticity(schedule: CouplingSchedule, n_samples: int = 1001) -> float:
     """max over interior samples of max_i |dg_i/dt| / g0(t)^2.
 
     A value well below 1 indicates the schedule satisfies the adiabatic
-    condition.  Sampling avoids the endpoints where schedules may have
-    one-sided derivatives.
+    condition.  Each piece of [0, duration] between the schedule's kinks
+    (all of it for a smooth schedule, [0, 1] for an endless one) takes
+    n_samples equally spaced interior times, so a ramp narrower than the
+    grid spacing is still sampled; every kink is sampled too, with its
+    right-hand slope.  The endpoints, where schedules may have one-sided
+    derivatives, are not sampled.
     """
     if n_samples < 1:
         raise ModelError("n_samples must be positive")
     span = schedule.duration if math.isfinite(schedule.duration) else 1.0
-    t = span * np.arange(1, n_samples + 1) / (n_samples + 1)
+    edges = np.array([0.0, *schedule.kinks(0.0, span), span])
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    # each piece's left end and interior times; t = 0 is dropped
+    t = (lo + width * np.arange(n_samples + 1) / (n_samples + 1)).ravel()[1:]
     g1, g2 = schedule.values(t)
     d1, d2 = schedule.derivatives(t)
     g0sq = g1 * g1 + g2 * g2

@@ -23,7 +23,7 @@ the overlap modulus.
 
 Time-dependent couplings are handled by propagating the driven mean
 equation exactly linear in the input, with sixth-order Magnus panels split
-at the schedule's breakpoints and an error estimate per panel count; for
+at the schedule's kinks and an error estimate per panel count; for
 constant couplings this doubles as an independent cross-check of the FFT
 path.
 """
@@ -359,7 +359,7 @@ def transmit_pulse_time(
     Solves d<v>/dt = -i M(t) <v> + sqrt(k1) (<a_in(t)>, 0, 0)^T with the
     input linear between samples, so z = [<v>; a_in; d a_in/dt] obeys a
     linear equation whose generator depends on the couplings alone.  Each
-    grid interval, split at the schedule's breakpoints, is carried by
+    grid interval, split at the schedule's kinks, is carried by
     sixth-order Magnus panels; step doubling sets their number per piece.
     Supports arbitrary coupling schedules covering the pulse window, which
     is what enables output pulse engineering.
@@ -377,9 +377,8 @@ def transmit_pulse_time(
     u = p_in.amplitudes
     slope = np.diff(u) / dt
 
-    # pieces: grid intervals split at interior breakpoints, where the couplings kink
-    breaks = [b for b in getattr(schedule, "times", ()) if 0.0 < b < t_grid[-1]]
-    edges = np.union1d(t_grid, breaks)
+    # pieces: grid intervals split where the couplings kink
+    edges = np.union1d(t_grid, schedule.kinks(0.0, t_grid[-1]))
     interval = np.searchsorted(t_grid, edges[:-1], side="right") - 1
     rank = np.arange(interval.size) - np.searchsorted(interval, interval)
     # whole intervals take the grid's dt, so that their keys repeat exactly

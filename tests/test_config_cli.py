@@ -322,6 +322,57 @@ def test_bad_sweep_point_is_a_config_error(text, message, tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def _replaced(text, old, new):
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+ENGINEER_STEP = (SCENARIO_DIR / "engineer_step.cfg").read_text()
+FIG2A = (SCENARIO_DIR / "fig2a.cfg").read_text()
+
+# (config text, the error naming its non-finite or zero number)
+NON_FINITE = {
+    **{
+        f"kappa1_{v}": (_replaced(MINIMAL_CONVERT, "kappa1 = 0.1", f"kappa1 = {v}"),
+                        f"invalid [params]: kappa1 must be finite, got {v}")
+        for v in ("nan", "inf")
+    },
+    "n_th_inf": (_replaced(MINIMAL_CONVERT, "kappa1 = 0.1", "kappa1 = 0.1\nn_th = inf"),
+                 "invalid [params]: n_th must be finite, got inf"),
+    **{
+        f"trig_amplitude_{v}": (_replaced(MINIMAL_CONVERT, "amplitude = 5.0", f"amplitude = {v}"),
+                                f"invalid schedule: TrigSchedule amplitude must be finite, got {v}")
+        for v in ("nan", "inf")
+    },
+    "alpha_re_inf": (MINIMAL_CONVERT + "\n[initial]\nalpha_re = inf\n", "alpha must be finite, got (inf+0j)"),
+    **{f"r_{v}": (MINIMAL_CONVERT + f"\n[initial]\nr = {v}\n", f"r must be finite, got {v}") for v in ("nan", "inf")},
+    **{
+        f"sigma_omega_{v}": (_replaced(ENGINEER_STEP, "sigma_omega = 0.2", f"sigma_omega = {v}"),
+                             f"sigma_omega must be finite, got {v}")
+        for v in ("nan", "inf")
+    },
+    "pulse_amplitude_nan": (_replaced(ENGINEER_STEP, "amplitude = 1.0", "amplitude = nan"),
+                            "pulse_amplitude must be finite, got nan"),
+    "pulse_amplitude_0": (_replaced(ENGINEER_STEP, "amplitude = 1.0", "amplitude = 0"),
+                          "[pulse] amplitude must be nonzero"),
+    **{
+        f"constant_g1_{v}": (_replaced(FIG2A, "g1 = 4.0\n", f"g1 = {v}\n"),
+                             f"invalid schedule: ConstantCoupling g1 must be finite, got {v}")
+        for v in ("nan", "inf")
+    },
+}
+
+
+@pytest.mark.parametrize("text, message", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_number_is_a_config_error(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.rglob("*")) == [path]
+
+
 def test_failed_run_writes_no_csv(tmp_path, capsys):
     # the second point has kappa2 = 0, so its half-width fails after the first point has run
     path = tmp_path / "fig2a.cfg"

@@ -270,7 +270,7 @@ def _configs(draw):
     if scenario in ("transmit", "engineer") or draw(st.booleans()):
         extra.update(
             sigma_omega=draw(_positive),
-            pulse_amplitude=draw(_real),
+            pulse_amplitude=draw(_real.filter(bool)),  # a zero pulse is rejected
             pulse_points=2 ** draw(st.integers(4, 14)),
         )
     if scenario == "spectrum":

@@ -157,6 +157,63 @@ def test_adiabaticity_closed_form():
         assert_allclose(adiabaticity(TrigSchedule(g_a, dur)), (math.pi / (2 * dur)) / g_a, rtol=1e-5)
 
 
+def _adiabaticity_on_one_grid(schedule, n_samples=1001):
+    """adiabaticity as it was before kinks split its grid: one interior grid over the whole span."""
+    span = schedule.duration if math.isfinite(schedule.duration) else 1.0
+    t = span * np.arange(1, n_samples + 1) / (n_samples + 1)
+    (g1, g2), (d1, d2) = schedule.values(t), schedule.derivatives(t)
+    return float((np.maximum(np.abs(d1), np.abs(d2)) / (g1 * g1 + g2 * g2)).max())
+
+
+def test_adiabaticity_samples_every_piece_between_kinks():
+    # a 0.005-wide ramp from 0.5 to 20 between two points of a 1,001-point grid of [0, 10]:
+    # |dg/dt| / g0^2 peaks at 3900 / 0.5 = 7800 at the ramp's foot, a kink, and one grid saw 7.65
+    start = 5.0 + 0.1 * 10.0 / 256
+    times = (0.0, start, start + 0.005, start + 0.025, start + 0.03, 10.0)
+    burst = PiecewiseLinearSchedule(times, (0.5, 0.5, 20.0, 20.0, 0.5, 0.5), (-0.5, -0.5, -20.0, -20.0, -0.5, -0.5))
+    assert 0.9 * 7800.0 <= adiabaticity(burst) <= 7800.0 * (1.0 + 1e-9)
+    assert _adiabaticity_on_one_grid(burst) < 10.0
+    # schedules without kinks keep the one grid bit for bit
+    for schedule in (TrigSchedule(5.0, math.pi / 2), TrigSchedule(2.0, 7.0), TanhRampSchedule(4.0, 2.0, 0.5, 4.0),
+                     ConstantCoupling(4.0, 3.0), ConstantCoupling(4.0, 3.0, duration=2.0)):
+        for n in (1, 7, 1001):
+            assert adiabaticity(schedule, n) == _adiabaticity_on_one_grid(schedule, n)
+
+
+def test_kinks_are_the_interior_breakpoints():
+    sched = PiecewiseLinearSchedule((0.0, 1.0, 2.0, 3.5), (0.0, 1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 0.0))
+    assert sched.kinks(0.0, 3.5).tolist() == [1.0, 2.0]
+    assert sched.kinks(1.0, 3.0).tolist() == [2.0]  # open interval
+    assert sched.kinks(2.5, 3.5).size == 0
+    for smooth in (TrigSchedule(5.0, 1.0), TanhRampSchedule(4.0, 2.0, 0.5, 4.0), ConstantCoupling(1.0, 2.0)):
+        assert smooth.kinks(0.0, 1.0).size == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SystemParams(math.nan, math.inf),
+        lambda: SystemParams(0.1, 0.1, n_th=math.inf),
+        lambda: SystemParams(0.1, 0.1, omega_m=math.inf),
+        lambda: TrigSchedule(math.nan, 1.0),
+        lambda: TrigSchedule(1.0, math.inf),
+        lambda: ConstantCoupling(math.nan, 1.0),
+        lambda: ConstantCoupling(1.0, -math.inf),
+        lambda: ConstantCoupling(1.0, 1.0, duration=math.nan),
+        lambda: TanhRampSchedule(1.0, math.nan, 1.0, 2.0),
+        lambda: PiecewiseLinearSchedule((0.0, math.inf), (1.0, 1.0), (0.0, 0.0)),
+        lambda: PiecewiseLinearSchedule((0.0, 1.0), (1.0, math.nan), (0.0, 0.0)),
+    ],
+)
+def test_non_finite_numbers_are_rejected(build):
+    with pytest.raises(ModelError, match="must be finite|positive duration"):
+        build()
+
+
+def test_constant_coupling_may_last_forever():
+    assert ConstantCoupling(4.0, 3.0, duration=math.inf).duration == math.inf
+
+
 def test_adiabaticity_zero_g0_error():
     sched = PiecewiseLinearSchedule(
         times=(0.0, 1.0, 2.0), g1_values=(1.0, 0.0, 1.0), g2_values=(0.0, 0.0, 0.0)

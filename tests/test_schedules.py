@@ -109,12 +109,18 @@ def test_time_outside_domain_is_named(kind, data):
             method(first)
 
 
-def _reference_adiabaticity(schedule, n_samples=1001):
-    """The scalar-time loop adiabaticity replaced."""
+def _sample_times(schedule, n_samples):
+    """adiabaticity's times: each breakpoint and n_samples interior times of each piece between them."""
     span = schedule.duration if np.isfinite(schedule.duration) else 1.0
+    edges = [0.0, *(b for b in getattr(schedule, "times", ()) if 0.0 < b < span), span]
+    pieces = [lo + (hi - lo) * k / (n_samples + 1) for lo, hi in zip(edges, edges[1:]) for k in range(n_samples + 1)]
+    return pieces[1:]  # not t = 0
+
+
+def _reference_adiabaticity(schedule, n_samples=1001):
+    """The scalar-time loop adiabaticity replaced, on its sample times."""
     worst = 0.0
-    for k in range(1, n_samples + 1):
-        t = span * k / (n_samples + 1)
+    for t in _sample_times(schedule, n_samples):
         g1, g2 = schedule.values(t)
         d1, d2 = schedule.derivatives(t)
         g0sq = g1 * g1 + g2 * g2
@@ -139,15 +145,15 @@ def test_adiabaticity_equals_the_scalar_loop(kind, data):
 
 
 def test_adiabaticity_names_first_interior_time_where_g0_vanishes():
-    # g0 = 0 on [1.5, 2.25]; the interior grid is t_k = 3 k / 1000
+    # g0 = 0 on [1.5, 2.25]; the samples are each breakpoint and the interior of each piece
     sched = PiecewiseLinearSchedule((0.0, 1.5, 2.25, 3.0), (1.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, -1.0))
-    grid = [3.0 * k / 1000 for k in range(1, 1000)]
-    first = next(t for t in grid if sched.g0(t) == 0.0)
+    first = next(t for t in _sample_times(sched, 999) if sched.g0(t) == 0.0)
     assert first == 1.5
     with pytest.raises(ModelError, match=re.escape(f"g0 vanishes at interior time t = {first}")):
         adiabaticity(sched, n_samples=999)
+    # g0 first vanishes at the breakpoint 1.7, between two interior times of a single grid
     later = PiecewiseLinearSchedule((0.0, 1.7, 2.25, 3.0), (1.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, -1.0))
-    first = next(t for t in grid if later.g0(t) == 0.0)
-    assert 1.7 <= first < 1.71
+    first = next(t for t in _sample_times(later, 999) if later.g0(t) == 0.0)
+    assert first == 1.7
     with pytest.raises(ModelError, match=re.escape(f"g0 vanishes at interior time t = {first}")):
         adiabaticity(later, n_samples=999)
