@@ -117,11 +117,10 @@ def fs_bound(params: SystemParams, schedule: CouplingSchedule, T: float) -> floa
     """Upper estimate of the mechanical-noise term fs.
 
     gamma_m (2 n_th + 1) T ((kappa1 - kappa2) / 4 g0_min)^2 with g0_min the
-    minimum of g0 over a 1001-point interior grid of (0, T), evaluated in
-    one schedule call.  This is a bound-style estimate, not an equality.
+    minimum of g0 at schedule.probe_times(T, 1001), evaluated in one
+    schedule call.  This is a bound-style estimate, not an equality.
     """
-    n_grid = 1001
-    g0_min = float(schedule.g0(T * np.arange(1, n_grid + 1) / (n_grid + 1)).min())
+    g0_min = float(schedule.g0(schedule.probe_times(T, 1001)).min())
     if g0_min == 0.0:
         raise AdiabaticError("g0 vanishes on the interior grid; fs bound undefined")
     return (

@@ -22,6 +22,7 @@ import dataclasses
 import math
 from dataclasses import MISSING, dataclass
 
+from .gaussian import GaussianError, _squeezed_occupation
 from .model import (
     ConstantCoupling,
     CouplingSchedule,
@@ -288,8 +289,10 @@ def _validate(config: ScenarioConfig) -> None:
         value = getattr(config, f.name)
         if isinstance(value, (float, complex)) and not cmath.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value}")
-    if config.r < 0:
-        raise ConfigError("squeezing r must be non-negative")
+    try:
+        _squeezed_occupation(config.r)
+    except GaussianError as exc:
+        raise ConfigError(str(exc)) from None
     if config.mech_occupation < 0:
         raise ConfigError("mech_occupation must be non-negative")
     if config.scenario in ("convert", "engineer") and not math.isfinite(config.schedule.duration):

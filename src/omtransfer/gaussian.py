@@ -227,15 +227,23 @@ def make_squeezed_coherent(alpha: complex, r: float, phi: float = 0.0) -> Single
 
     Central moments: n_ex = sinh^2 r, m_an = -e^{2i phi} sinh r cosh r
     (sign fixed against the Fock-basis construction).  r = 0 gives the
-    coherent state |alpha>.
+    coherent state |alpha>; r < 0, or r past 355 where sinh^2 r overflows, raises.
     """
-    if r < 0:
-        raise GaussianError("squeezing parameter r must be non-negative")
     return SingleModeGaussian(
         mean=complex(alpha),
-        n_ex=math.sinh(r) ** 2,
+        n_ex=_squeezed_occupation(r),
         m_an=-np.exp(2j * phi) * math.sinh(r) * math.cosh(r),
     )
+
+
+def _squeezed_occupation(r: float) -> float:
+    """sinh^2 r; GaussianError, as config validation reports it, for a negative r or one where it overflows."""
+    if r < 0:
+        raise GaussianError("squeezing r must be non-negative")
+    try:
+        return math.sinh(r) ** 2
+    except OverflowError:
+        raise GaussianError(f"squeezing r = {r} is out of range: sinh^2 r is not a finite float") from None
 
 
 def embed_initial(
@@ -280,8 +288,8 @@ def _diffusion(params_seq) -> np.ndarray:
 
 
 def _peak_coupling(schedule: CouplingSchedule, t_final: float) -> float:
-    # each |g_i| of a piecewise-linear schedule peaks at a kink, which the grid may step over
-    grid = np.append(t_final * np.arange(257) / 256.0, schedule.kinks(0.0, t_final))
+    # each |g_i| of a piecewise-linear schedule peaks at a kink or an end
+    grid = np.append(schedule.probe_times(t_final, 255), [0.0, t_final])
     return float(np.abs(schedule.values(grid)).max())
 
 
@@ -451,8 +459,8 @@ def integrate(
     block-triangular Magnus kernel that the time-domain pulse path shares.
 
     The grid is fixed: h = T / n for the least n with h <= min(T/2000, 0.01,
-    0.01/max(kappa1, kappa2, gamma_m, g)), g the peak coupling on 257 grid
-    times and the schedule's kinks, and every max(1, n // (n_samples -
+    0.01/max(kappa1, kappa2, gamma_m, g)), g the peak |g_i| at t = 0, T
+    and schedule.probe_times(T, 255), and every max(1, n // (n_samples -
     1))-th step and the last are recorded.  The input state is validated,
     then N and A are symmetrized once on load: the exact blocks
     embed_initial builds stay as they are, and an input Hermitian only

@@ -17,9 +17,7 @@ couple only through the mechanical mode (entries (1,3) and (3,1) vanish).
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -146,6 +144,17 @@ class CouplingSchedule:
     def kinks(self, lo: float, hi: float) -> np.ndarray:
         """Times strictly between lo and hi where the couplings may kink; none by default."""
         return np.empty(0)
+
+    def probe_times(self, span: float, n: int) -> np.ndarray:
+        """Each kink in (0, span) and n equally spaced interior times of every piece between them.
+
+        adiabaticity, fs_bound and integrate's peak coupling sample the couplings here, in increasing
+        order, so a ramp narrower than the spacing still meets a kink; span * k / (n + 1) without kinks.
+        """
+        edges = np.array([0.0, *self.kinks(0.0, span), span])
+        lo, width = edges[:-1, None], np.diff(edges)[:, None]
+        # each piece's left end and interior times; t = 0 is dropped
+        return (lo + width * np.arange(n + 1) / (n + 1)).ravel()[1:]
 
     def _check_domain(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -280,7 +289,8 @@ class TanhRampSchedule(CouplingSchedule):
 
     def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
         x = (self._check_domain(t) - self.center) / self.width
-        d = 0.5 * self.g_max / (self.width * np.cosh(x) ** 2)
+        e = np.exp(-2.0 * np.abs(x))  # sech^2 x = 4 e / (1 + e)^2 underflows to 0, never overflows
+        d = 2.0 * self.g_max * e / (self.width * (1.0 + e) ** 2)
         return d, d
 
 
@@ -314,32 +324,15 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _comm(p, q):
-    """Commutator [P, Q] of block upper-triangular generators given as (X, Y, Z) blocks.
-
-    A None Y block is zero, and its products are skipped.
-    """
+    """Commutator [P, Q] of block upper-triangular generators given as (X, Y, Z) blocks."""
     (px, py, pz), (qx, qy, qz) = p, q
-    y = [_mul(px, qy) - _mul(qy, pz)] if qy is not None else []
-    if py is not None:
-        y.append(_mul(py, qz) - _mul(qx, py))
-    return _mul(px, qx) - _mul(qx, px), _sum(y), _mul(pz, qz) - _mul(qz, pz)
-
-
-def _sum(terms: list):
-    """Sum of a list of arrays; None, the zero block, when it is empty."""
-    return functools.reduce(operator.add, terms) if terms else None
+    y = (_mul(px, qy) - _mul(qy, pz)) + (_mul(py, qz) - _mul(qx, py))
+    return _mul(px, qx) - _mul(qx, px), y, _mul(pz, qz) - _mul(qz, pz)
 
 
 def _combine(*terms):
     """sum of c P over (c, P) terms of (X, Y, Z) block triples, block by block."""
-    return tuple(_sum([c * p[i] for c, p in terms if p[i] is not None]) for i in range(3))
-
-
-def _add_eye(e: np.ndarray) -> np.ndarray:
-    """e + I for an (n, n, S) stack, in place."""
-    for i in range(e.shape[0]):
-        e[i, i] += 1.0
-    return e
+    return tuple(sum(c * p[i] for c, p in terms) for i in range(3))
 
 
 def _magnus6_block_omega(x: np.ndarray, y: np.ndarray, z: np.ndarray, h):
@@ -347,13 +340,14 @@ def _magnus6_block_omega(x: np.ndarray, y: np.ndarray, z: np.ndarray, h):
 
     Arguments as for _magnus6_block_exp.  Blanes, Casas, Oteo & Ros, Phys.
     Rep. 470, 151 (2009), from block commutators: a constant generator gives
-    exactly h A, and a Y constant over the step leaves b2 and b3 no Y block.
+    exactly h A, and a Y constant over the step gives b2 and b3 a zero Y block.
     """
     h = np.asarray(h, dtype=float)
     h2, h3 = math.sqrt(15.0) / 3.0 * h, 10.0 / 3.0 * h
+    zero = np.zeros(y.shape[:2] + (1,))
     b1 = (h * x[1], h * y, h * z[1])
-    b2 = (h2 * (x[2] - x[0]), None, h2 * (z[2] - z[0]))
-    b3 = (h3 * (x[2] - 2.0 * x[1] + x[0]), None, h3 * (z[2] - 2.0 * z[1] + z[0]))
+    b2 = (h2 * (x[2] - x[0]), zero, h2 * (z[2] - z[0]))
+    b3 = (h3 * (x[2] - 2.0 * x[1] + x[0]), zero, h3 * (z[2] - 2.0 * z[1] + z[0]))
     c1 = _comm(b1, b2)
     c2 = _comm(b1, _combine((2.0, b3), (1.0, c1)))
     w = _comm(_combine((-20.0, b1), (-1.0, b3), (1.0, c1)), _combine((1.0, b2), (-1.0 / 60.0, c2)))
@@ -380,14 +374,14 @@ def _magnus6_block_exp(x: np.ndarray, y: np.ndarray, z: np.ndarray, h):
     theta = float((norm * scale).max(initial=0.0))
     degree = next((m for m in range(1, 12) if theta ** (m + 1) / math.factorial(m + 1) <= 3e-18), 12)
     ox, oy, oz = ox * scale, oy * scale, oz * scale
-    e11, e12, e22 = _add_eye(ox / degree), oy / degree, _add_eye(oz / degree)
+    i11, i22 = np.eye(len(ox))[..., None], np.eye(len(oz))[..., None]
+    e11, e12, e22 = ox / degree + i11, oy / degree, oz / degree + i22
     for k in range(degree - 1, 0, -1):  # E = I + Omega E / k, block by block
-        e12 = _mul(ox, e12)
-        e12 += _mul(oy, e22)
-        e11, e22 = _mul(ox, e11), _mul(oz, e22)
+        e11, e12, e22 = _mul(ox, e11), _mul(ox, e12) + _mul(oy, e22), _mul(oz, e22)
         for e in (e11, e12, e22):
             e *= 1.0 / k
-        _add_eye(e11), _add_eye(e22)
+        e11 += i11
+        e22 += i22
     for j in range(int(s.max(initial=0))):
         more = np.flatnonzero(s > j)
         p11, p12, p22 = (e.take(more, axis=-1) for e in (e11, e12, e22))
@@ -406,22 +400,16 @@ def adiabaticity(schedule: CouplingSchedule, n_samples: int = 1001) -> float:
     """max over interior samples of max_i |dg_i/dt| / g0(t)^2.
 
     A value well below 1 indicates the schedule satisfies the adiabatic
-    condition.  Each piece of [0, duration] between the schedule's kinks
-    (all of it for a smooth schedule, [0, 1] for an endless one) takes
-    n_samples equally spaced interior times, so a ramp narrower than the
-    grid spacing is still sampled; every kink is sampled too, with its
-    right-hand slope.  The endpoints, where schedules may have one-sided
-    derivatives, are not sampled.
+    condition.  The samples are schedule.probe_times(duration, n_samples)
+    ([0, 1] for an endless schedule): every kink, with its right-hand slope,
+    and n_samples interior times of each piece between them.  The
+    endpoints, where schedules may have one-sided derivatives, are not
+    sampled.
     """
     if n_samples < 1:
         raise ModelError("n_samples must be positive")
-    span = schedule.duration if math.isfinite(schedule.duration) else 1.0
-    edges = np.array([0.0, *schedule.kinks(0.0, span), span])
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    # each piece's left end and interior times; t = 0 is dropped
-    t = (lo + width * np.arange(n_samples + 1) / (n_samples + 1)).ravel()[1:]
-    g1, g2 = schedule.values(t)
-    d1, d2 = schedule.derivatives(t)
+    t = schedule.probe_times(schedule.duration if math.isfinite(schedule.duration) else 1.0, n_samples)
+    (g1, g2), (d1, d2) = schedule.values(t), schedule.derivatives(t)
     g0sq = g1 * g1 + g2 * g2
     vanishes = g0sq == 0.0
     if vanishes.any():

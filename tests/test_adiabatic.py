@@ -233,9 +233,22 @@ def test_fs_bound_takes_g0_min_of_one_grid_call(sched, T):
     fs_bound(p, counted, 5.0)
     assert len(_VALUES_CALLS) == 1 and _VALUES_CALLS[0].shape == (1001,)
     assert_array_equal(_VALUES_CALLS[0], [5.0 * k / 1002 for k in range(1, 1002)])
-    g0_min = min(sched.g0(T * k / 1002) for k in range(1, 1002))
+    # each breakpoint in (0, T) and 1,001 interior times of every piece between them; T * k / 1002 without one
+    edges = [0.0, *(b for b in getattr(sched, "times", ()) if 0.0 < b < T), T]
+    times = [lo + (hi - lo) * k / 1002 for lo, hi in zip(edges, edges[1:]) for k in range(1002)][1:]
+    g0_min = min(sched.g0(t) for t in times)
     expected = 2e-3 * 11.0 * T * (0.8 / (4.0 * g0_min)) ** 2
     assert fs_bound(p, sched, T) == expected
+
+
+def test_fs_bound_sees_a_dip_between_grid_points():
+    # g0 dips from 5 to 0.5 at the kink t = 1.0003, inside one spacing of a 1,001-point grid of (0, 2),
+    # which read g0_min = 5 and an fs 100 times too small
+    dip = PiecewiseLinearSchedule(
+        (0.0, 1.0002, 1.0003, 1.0004, 2.0), (4.0, 4.0, 0.3, 4.0, 4.0), (-3.0, -3.0, -0.4, -3.0, -3.0)
+    )
+    p = SystemParams(kappa1=0.3, kappa2=0.1, gamma_m=2e-4, n_th=100.0)
+    assert fs_bound(p, dip, 2.0) == pytest.approx(8.04e-4, rel=1e-12)
 
 
 def test_f_integral_one_schedule_call_per_panel_count():

@@ -300,6 +300,10 @@ FIG2B = (SCENARIO_DIR / "fig2b.cfg").read_text()
 # (config text, the bad point and the check it fails)
 BAD_SWEEP_POINTS = {
     "r": (_swept(MINIMAL_CONVERT, "r", "0.2, -0.5"), "(-0.5,): squeezing r must be non-negative"),
+    "r_overflow": (
+        _swept(MINIMAL_CONVERT, "r", "0.2, 400.0"),
+        "(400.0,): squeezing r = 400.0 is out of range: sinh^2 r is not a finite float",
+    ),
     "mech_occupation": (
         _swept(MINIMAL_CONVERT, "mech_occupation", "0.0, -1.0"),
         "(-1.0,): mech_occupation must be non-negative",
@@ -399,6 +403,16 @@ def test_run_prints_no_warning_twice(tmp_path):
     assert sum("omega_m/10" in line for line in warned) == 1
     assert sum("f(0,T)" in line for line in warned) == 2
     assert len(set(warned)) == len(warned)
+
+
+def test_unrepresentable_squeezing_is_a_config_error(tmp_path, capsys):
+    # sinh^2 r overflows a float past r = 355 or so: a config error, caught before run starts any work
+    path = tmp_path / "squeezed.cfg"
+    path.write_text(MINIMAL_CONVERT + "\n[initial]\nr = 400\n")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: squeezing r = 400.0 is out of range: sinh^2 r is not a finite float\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_strongly_squeezed_config_runs(tmp_path):

@@ -101,6 +101,13 @@ def test_single_mode_moments_must_be_finite(moments):
         SingleModeGaussian(*moments)
 
 
+@pytest.mark.parametrize("r", [356.0, 400.0, 711.0])
+def test_squeezing_past_a_finite_occupation_is_rejected(r):
+    # sinh^2 r overflows a float past r = 355.6; math.sinh itself past r = 710.5
+    with pytest.raises(GaussianError, match=f"squeezing r = {r} is out of range"):
+        make_squeezed_coherent(0.0, r)
+
+
 def test_strongly_squeezed_states_are_physical():
     # n(n+1) = |m|^2 for a pure squeezed state, and their rounding grows as n^2:
     # an absolute 1e-10 tolerance rejects 259 of these, the first at r = 3.81
@@ -696,8 +703,8 @@ def _mean_reference(schedule, params, mean0, t_final):
 
 
 def test_integrate_step_sees_coupling_burst_between_grid_times():
-    # a 0.03-long burst to |g| = 20 fits between two of the 257 grid times on which
-    # the step is sized; sized from |g| = 0.5 the final mean was 3.2e-5 off, now 2.5e-9
+    # a 0.03-long burst to |g| = 20 fits between two of 257 equally spaced times of [0, T];
+    # a step sized from |g| = 0.5 left the final mean 3.2e-5 off, one sized at the kinks 2.5e-9
     t_final = 10.0
     start = t_final / 2 + 0.1 * t_final / 256
     times = (0.0, start, start + 0.005, start + 0.025, start + 0.03, t_final)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,18 @@ def test_adiabaticity_samples_every_piece_between_kinks():
             assert adiabaticity(schedule, n) == _adiabaticity_on_one_grid(schedule, n)
 
 
+def test_narrow_tanh_ramp_derivative_does_not_overflow():
+    # the first sample sits at x = (t - center) / width = -5000, where cosh x ** 2 overflows
+    narrow = TanhRampSchedule(5.0, 10.0, 0.002, 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert adiabaticity(narrow) == 100.0
+        assert narrow.derivatives(0.0) == (0.0, 0.0)
+    wide = TanhRampSchedule(4.0, 2.5, 0.7, 5.0)
+    t = np.linspace(0.0, 5.0, 1001)
+    assert_allclose(wide.derivatives(t)[0], 2.0 / (0.7 * np.cosh((t - 2.5) / 0.7) ** 2), rtol=2e-15, atol=0.0)
+
+
 def test_kinks_are_the_interior_breakpoints():
     sched = PiecewiseLinearSchedule((0.0, 1.0, 2.0, 3.5), (0.0, 1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 0.0))
     assert sched.kinks(0.0, 3.5).tolist() == [1.0, 2.0]
@@ -187,6 +200,14 @@ def test_kinks_are_the_interior_breakpoints():
     assert sched.kinks(2.5, 3.5).size == 0
     for smooth in (TrigSchedule(5.0, 1.0), TanhRampSchedule(4.0, 2.0, 0.5, 4.0), ConstantCoupling(1.0, 2.0)):
         assert smooth.kinks(0.0, 1.0).size == 0
+
+
+def test_probe_times_are_the_kinks_and_each_pieces_interior():
+    sched = PiecewiseLinearSchedule((0.0, 1.0, 2.0, 3.5), (0.0, 1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 0.0))
+    assert sched.probe_times(3.5, 3).tolist() == [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75, 3.125]
+    assert sched.probe_times(1.5, 1).tolist() == [0.5, 1.0, 1.25]
+    assert TrigSchedule(5.0, 2.0).probe_times(2.0, 3).tolist() == [0.5, 1.0, 1.5]
+    assert ConstantCoupling(1.0, 2.0).probe_times(7.0, 1001).tolist() == [7.0 * k / 1002 for k in range(1, 1002)]
 
 
 @pytest.mark.parametrize(
