@@ -20,6 +20,7 @@ cross-checked by an independent truncated Fock-basis oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import _GL3_NODES, CouplingSchedule, SystemParams, _magnus6_block_exp, _mul, drift_stack
+from .model import _GAUGE, _GL3_NODES, CouplingSchedule, SystemParams, _gauged_drift, _magnus6_block_exp, _mul, drift_stack
 
 __all__ = [
     "GaussianError",
@@ -70,12 +71,13 @@ class SingleModeGaussian:
         if self.n_ex < 0:
             raise GaussianError(f"n_ex must be non-negative, got {self.n_ex}")
         # 2 min eig of the Gram matrix [[1 + n, m], [m*, n]], bounded as in _first_fault:
-        # relative to the moments' size, since rounding grows with n for strong squeezing
-        defect = 2.0 * self.n_ex + 1.0 - math.sqrt(1.0 + 4.0 * abs(self.m_an) ** 2)
-        if defect < -1e-8 * max(1.0, self.n_ex, abs(self.m_an)):
+        # relative to the moments' size, since rounding grows with n for strong squeezing.
+        # hypot never squares |m|, which overflows past r = 178
+        m = abs(self.m_an)
+        defect = 2.0 * self.n_ex + 1.0 - math.hypot(1.0, 2.0 * m)
+        if defect < -1e-8 * max(1.0, self.n_ex, m):
             raise PhysicalityError(
-                f"unphysical moments: n(n+1) = {self.n_ex * (self.n_ex + 1):.6g} "
-                f"< |m|^2 = {abs(self.m_an) ** 2:.6g}"
+                f"unphysical moments: n(n+1) < |m|^2 with n = {self.n_ex:.6g}, |m| = {m:.6g} (defect {defect:.3e})"
             )
 
     @property
@@ -117,17 +119,22 @@ def _first_fault(
     scale from that bound and from pure states, whose min eig R is 0 up to
     rounding.  Both routines read R's lower triangle.
     """
+    finite = np.isfinite(mean).all(axis=1)
+    for f in (normal, anomalous):
+        finite &= np.isfinite(f).all(axis=(1, 2))
+    if not finite.all():
+        # eigvalsh does not converge on non-finite rows, which fail the first check anyway
+        normal, anomalous = (np.where(finite[:, None, None], f, 0.0) for f in (normal, anomalous))
+    scale = np.maximum(1.0, np.maximum(np.abs(normal).max(axis=(1, 2)), np.abs(anomalous).max(axis=(1, 2))))
+    # R is Hermitian exactly when N is Hermitian and A symmetric
+    tol = 1e-8 * scale[:, None, None]
+    not_hermitian = (np.abs(normal - normal.conj().swapaxes(1, 2)) > tol).any(axis=(1, 2))
+    not_symmetric = (np.abs(anomalous - anomalous.swapaxes(1, 2)) > tol).any(axis=(1, 2))
     gram = np.empty((len(normal), 6, 6), dtype=complex)
     gram[:, :3, :3] = normal.swapaxes(1, 2) + np.eye(3)
     gram[:, :3, 3:] = anomalous
     gram[:, 3:, :3] = anomalous.conj()
     gram[:, 3:, 3:] = normal
-    finite = np.isfinite(mean).all(axis=1) & np.isfinite(gram).all(axis=(1, 2))
-    # eigvalsh does not converge on non-finite rows, which fail the first check anyway
-    gram[~finite] = 0.0
-    scale = np.maximum(1.0, np.abs(gram[:, :, 3:]).max(axis=(1, 2)))
-    # R is Hermitian exactly when N is Hermitian and A symmetric
-    asym = np.abs(gram - gram.conj().swapaxes(1, 2)) > 1e-8 * scale[:, None, None]
     shifted = gram.copy()
     shifted[:, range(6), range(6)] += _SCREEN_SHIFT * scale[:, None]
     try:
@@ -137,8 +144,8 @@ def _first_fault(
         defect = 2.0 * np.linalg.eigvalsh(gram)[:, 0]
     checks = (
         ("moments must be finite", ~finite),
-        ("normal moment block must be Hermitian", asym[:, 3:, 3:].any(axis=(1, 2))),
-        ("anomalous moment block must be symmetric", asym[:, :3, 3:].any(axis=(1, 2))),
+        ("normal moment block must be Hermitian", not_hermitian),
+        ("anomalous moment block must be symmetric", not_symmetric),
         ("normal moments have a negative occupation",
          normal.real.diagonal(axis1=1, axis2=2).min(axis=1) < -1e-10 * scale),
         ("covariance violates the uncertainty relation", defect < -1e-8 * scale),
@@ -227,7 +234,7 @@ def make_squeezed_coherent(alpha: complex, r: float, phi: float = 0.0) -> Single
 
     Central moments: n_ex = sinh^2 r, m_an = -e^{2i phi} sinh r cosh r
     (sign fixed against the Fock-basis construction).  r = 0 gives the
-    coherent state |alpha>; r < 0, or r past 355 where sinh^2 r overflows, raises.
+    coherent state |alpha>; r < 0, or r past 355.2 where cosh 2r overflows, raises.
     """
     return SingleModeGaussian(
         mean=complex(alpha),
@@ -237,13 +244,20 @@ def make_squeezed_coherent(alpha: complex, r: float, phi: float = 0.0) -> Single
 
 
 def _squeezed_occupation(r: float) -> float:
-    """sinh^2 r; GaussianError, as config validation reports it, for a negative r or one where it overflows."""
+    """sinh^2 r; GaussianError, as config validation reports it, for a negative r or one too large.
+
+    r is too large where sinh^2 r, or the scale 2 sinh^2 r + 1 = cosh 2r of
+    the uncertainty check, is not a finite float: past r = 355.2.
+    """
     if r < 0:
         raise GaussianError("squeezing r must be non-negative")
     try:
-        return math.sinh(r) ** 2
+        occupation = math.sinh(r) ** 2
     except OverflowError:
         raise GaussianError(f"squeezing r = {r} is out of range: sinh^2 r is not a finite float") from None
+    if not math.isfinite(2.0 * occupation + 1.0):
+        raise GaussianError(f"squeezing r = {r} is out of range: cosh 2r = 2 sinh^2 r + 1 is not a finite float")
+    return occupation
 
 
 def embed_initial(
@@ -352,20 +366,21 @@ def _rk4_samples(mean, normal, anomalous, params_seq, schedule, t_final, n_steps
 _CHUNK_DRIFTS = 1024
 _CHUNK_STATES = 256
 _CHUNK_STEPS = 1024
+# elementwise factors taking mean, N and A into the gauge of _magnus_samples; their conjugates take them back
+_GAUGED = (_GAUGE, _GAUGE.conj()[:, None] * _GAUGE, _GAUGE[:, None] * _GAUGE)
 
 
 def _advance(e, q, mean, normal, anomalous):
-    """Moments moved by the affine maps (E, Q): E* mean, E* A E*^T and E N E^H + Q.
+    """Gauged moments moved by the real affine maps (E, Q): E mean, E A E^T and E N E^T + Q.
 
     Step axis last: e, q, normal and anomalous are (3, 3, S) and mean (3, S),
     where an S of 1 broadcasts, so one state moves by S maps at once.  The
     returned N is exactly Hermitian and A exactly symmetric.
     """
-    ec = e.conj()
-    eh = ec.swapaxes(0, 1)
-    n = _mul(_mul(e, normal), eh) + q
-    a = _mul(_mul(ec, anomalous), eh)
-    return _mul(ec, mean[:, None])[:, 0], 0.5 * (n + n.conj().swapaxes(0, 1)), 0.5 * (a + a.swapaxes(0, 1))
+    et = e.swapaxes(0, 1)
+    n = _mul(_mul(e, normal), et) + q
+    a = _mul(_mul(e, anomalous), et)
+    return _mul(e, mean[:, None])[:, 0], 0.5 * (n + n.conj().swapaxes(0, 1)), 0.5 * (a + a.swapaxes(0, 1))
 
 
 def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps, n_samples):
@@ -373,15 +388,18 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
 
     Yields (times, mean, N, A) stacks of the recorded samples once per chunk
     of _CHUNK_STEPS steps, t_final last; yielded arrays are never modified
-    afterwards.  A step's propagator Phi = exp(Omega) of the Van Loan
-    generator [[B, D], [0, -B^H]], with B = i M* and D the diffusion (Van
-    Loan, IEEE TAC 23, 1978), gives the step's affine map E = Phi11,
-    Q = Phi12 Phi11^H (see _advance).  Each chunk makes one schedule call at
+    afterwards.  The steps run in real arithmetic, in the gauge v = T v' of
+    model._gauged_drift: the maps mean' = T*^-1 mean, N' = T^-1 N T^-H and
+    A' = T*^-1 A T*^-T on load, and back on yield, multiply entries by units.
+    A step's propagator Phi = exp(Omega) of the Van Loan generator
+    [[B', D], [0, -B'^T]], with B' = T^-1 (i M*) T and D the diffusion (Van
+    Loan, IEEE TAC 23, 1978), gives the step's real affine map E = Phi11,
+    Q = Phi12 Phi11^T (see _advance).  Each chunk makes one schedule call at
     every step's Gauss-Legendre nodes and one model._magnus6_block_exp call
-    on the blocks X = B, Y = D and Z = -B^H, step axis last.  Its maps
+    on the blocks X = B', Y = D and Z = -B'^T, step axis last.  Its maps
     compose by an inclusive doubling scan (Hillis & Steele, CACM 29, 1986):
     for d = 1, 2, 4, ... < S, every step k >= d becomes (E_k E_{k-d},
-    E_k Q_{k-d} E_k^H + Q_k), pair k - d followed by pair k.  Step k then
+    E_k Q_{k-d} E_k^T + Q_k), pair k - d followed by pair k.  Step k then
     holds the map from the chunk's start, so one _advance of the start
     state gives every sample and another the next chunk's start.  Composing
     pairs, not the raw 6x6 products, keeps the scan bounded: their Phi22
@@ -391,30 +409,30 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
     """
     h = t_final / n_steps
     record_every = max(1, n_steps // max(1, n_samples - 1))
-    diffusion = _diffusion([params])[0]
-    mean = mean[:, None]
-    normal = 0.5 * (normal + normal.conj().T)[..., None]
-    anomalous = 0.5 * (anomalous + anomalous.T)[..., None]
+    diffusion = _diffusion([params])[0].real[..., None]
+    mean = (_GAUGED[0] * mean)[:, None]
+    normal = (_GAUGED[1] * (0.5 * (normal + normal.conj().T)))[..., None]
+    anomalous = (_GAUGED[2] * (0.5 * (anomalous + anomalous.T)))[..., None]
     for k0 in range(0, n_steps, _CHUNK_STEPS):
         ends = np.arange(k0 + 1, min(k0 + _CHUNK_STEPS, n_steps) + 1)
         # the last nodes may overshoot the schedule end by rounding; clamp
         ts = np.clip((ends - 1.0 + _GL3_NODES[:, None]) * h, 0.0, schedule.duration)
-        m = np.moveaxis(drift_stack(params.damping_diagonal, *schedule.values(ts)), 1, -1)
-        b = np.ascontiguousarray(1j * m.conj())  # (node, 3, 3, step)
-        minus_bh = np.ascontiguousarray(-b.conj().swapaxes(1, 2))
-        e, e12, _ = _magnus6_block_exp(b, diffusion[..., None], minus_bh, h)
-        q = _mul(e12, e.conj().swapaxes(0, 1))
+        r = _gauged_drift(drift_stack(params.damping_diagonal, *schedule.values(ts)))  # (node, step, 3, 3)
+        b = np.ascontiguousarray(r.transpose(0, 3, 2, 1))  # B' = R^T, (node, 3, 3, step)
+        minus_bt = np.ascontiguousarray(-r.transpose(0, 2, 3, 1))
+        e, e12, _ = _magnus6_block_exp(b, diffusion, minus_bt, h)
+        q = _mul(e12, e.swapaxes(0, 1))
         d = 1
         while d < len(ends):
             ek = e[..., d:]
-            q[..., d:] += _mul(_mul(ek, q[..., :-d]), ek.conj().swapaxes(0, 1))
+            q[..., d:] += _mul(_mul(ek, q[..., :-d]), ek.swapaxes(0, 1))
             e[..., d:] = _mul(ek, e[..., :-d])
             d *= 2
         recorded = (ends % record_every == 0) | (ends == n_steps)
         samples = _advance(e[..., recorded], q[..., recorded], mean, normal, anomalous)
         mean, normal, anomalous = _advance(e[..., -1:], q[..., -1:], mean, normal, anomalous)
         times = np.where(ends[recorded] == n_steps, t_final, ends[recorded] * h)
-        yield (times, *(np.ascontiguousarray(np.moveaxis(f, -1, 0)) for f in samples))
+        yield (times, *(np.multiply(np.moveaxis(f, -1, 0), g.conj(), order="C") for f, g in zip(samples, _GAUGED)))
 
 
 def _check(times, mean, normal, anomalous, rows=None) -> None:
@@ -456,7 +474,10 @@ def integrate(
     """Integrate the moment equations by Magnus-6 Van Loan steps (see _magnus_samples).
 
     Each chunk of steps makes one call of model._magnus6_block_exp, the
-    block-triangular Magnus kernel that the time-domain pulse path shares.
+    block-triangular Magnus kernel that the time-domain pulse path shares,
+    on real generators: the steps run in the gauge where the drift is real,
+    and the samples equal, bit for bit, those of the same steps in the
+    complex frame, up to the sign of zero entries.
 
     The grid is fixed: h = T / n for the least n with h <= min(T/2000, 0.01,
     0.01/max(kappa1, kappa2, gamma_m, g)), g the peak |g_i| at t = 0, T
@@ -568,23 +589,36 @@ def _squeezed_thermal_split(s: SingleModeGaussian) -> tuple[float, float, comple
     return nbar, r, phase
 
 
-def _expm_antihermitian(g: np.ndarray) -> np.ndarray:
-    """exp(G) for anti-Hermitian G from one eigh of the Hermitian -iG: V e^{i lam} V^+."""
-    lam, v = np.linalg.eigh(-1j * g)
-    return (v * np.exp(1j * lam)) @ v.conj().T
+def _fock_bases(dim: int):
+    """eigh of the real symmetric X = a + a^+ and Y = a^2 + a^+2 on the first dim number states."""
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    square = lower @ lower
+    return np.linalg.eigh(lower + lower.T), np.linalg.eigh(square + square.T)
 
 
-def _fock_density(s: SingleModeGaussian, cutoff: int) -> tuple[np.ndarray, float]:
+def _rotated(rho: np.ndarray, basis, angle: float, theta: float) -> np.ndarray:
+    """U rho U^+ for U = P exp(i angle G) P^+, basis = eigh(G) of a real G, P = diag(e^{i k theta}); real products."""
+    w, v = basis
+    p = np.exp(1j * theta * np.arange(len(w)))
+    rho = rho * np.outer(p.conj(), p)
+    for a, c in ((v.T, np.exp(1j * angle * w)), (v, p)):
+        rho = (a @ rho.real @ a.T + 1j * (a @ rho.imag @ a.T)) * np.outer(c, c.conj())
+    return rho
+
+
+def _fock_density(s: SingleModeGaussian, cutoff: int, bases) -> tuple[np.ndarray, float]:
     """Truncated density matrix in the number basis plus its trace deficit.
 
-    Built as D(alpha) S(eps) rho_th S^+ D^+ in a padded working space; the
-    generators are anti-Hermitian so the truncated operators are exactly
-    unitary and all truncation loss shows up in the returned block's trace.
+    Built as D(alpha) S(eps) rho_th S^+ D^+ in the padded space of bases =
+    _fock_bases(dim); the generators are anti-Hermitian so the truncated
+    operators are exactly unitary and all truncation loss shows up in the
+    returned block's trace.  P a P^+ = e^{-i theta} a for P = diag(e^{i k theta}),
+    so D(alpha) = P exp(-i |alpha| X) P^+ at theta = arg alpha + pi/2 and
+    S(eps) = P exp(i r Y / 2) P^+ at theta = arg eps / 2 + pi/4.
     """
     nbar, r, phase = _squeezed_thermal_split(s)
-    dim = cutoff + max(16, cutoff // 2)
-    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    raise_ = lower.conj().T
+    x_basis, y_basis = bases
+    dim = len(x_basis[0])
     if nbar > 0:
         ks = np.arange(dim)
         diag = np.exp(ks * math.log(nbar / (nbar + 1.0))) / (nbar + 1.0)
@@ -593,14 +627,9 @@ def _fock_density(s: SingleModeGaussian, cutoff: int) -> tuple[np.ndarray, float
         diag[0] = 1.0
     rho = np.diag(diag).astype(complex)
     if r > 0:
-        eps = r * phase
-        squeeze = _expm_antihermitian(
-            (np.conj(eps) * (lower @ lower) - eps * (raise_ @ raise_)) / 2.0
-        )
-        rho = squeeze @ rho @ squeeze.conj().T
+        rho = _rotated(rho, y_basis, 0.5 * r, 0.5 * cmath.phase(phase) + 0.25 * math.pi)
     if s.mean != 0:
-        disp = _expm_antihermitian(s.mean * raise_ - np.conj(s.mean) * lower)
-        rho = disp @ rho @ disp.conj().T
+        rho = _rotated(rho, x_basis, -abs(s.mean), cmath.phase(s.mean) + 0.5 * math.pi)
     block = rho[:cutoff, :cutoff]
     deficit = abs(1.0 - float(np.trace(block).real))
     return block, deficit
@@ -626,14 +655,17 @@ def fock_oracle_fidelity(
     Independent of the covariance formula; used to certify it.  The cutoff
     starts from a size heuristic (or the given value) and doubles until both
     truncated matrices have trace deficit below 1e-10; beyond 4096 the
-    evaluation is abandoned.
+    evaluation is abandoned.  Each cutoff tried computes the real
+    eigenbases of X = a + a^+ and Y = a^2 + a^+2 once, for both states
+    (see _fock_density); nothing is kept from one call to the next.
     """
     n = cutoff if cutoff is not None else max(16, _rule_cutoff(s1), _rule_cutoff(s2))
     while True:
         if n > 4096:
             raise GaussianError("Fock cutoff 4096 insufficient for trace deficit 1e-10")
-        rho1, d1 = _fock_density(s1, n)
-        rho2, d2 = _fock_density(s2, n)
+        bases = _fock_bases(n + max(16, n // 2))
+        rho1, d1 = _fock_density(s1, n, bases)
+        rho2, d2 = _fock_density(s2, n, bases)
         if d1 < 1e-10 and d2 < 1e-10:
             break
         n *= 2

@@ -307,6 +307,16 @@ def drift_stack(damping, g1, g2) -> np.ndarray:
     return m.reshape(m.shape[:-1] + (3, 3))
 
 
+# T = diag(1, -i, -1) makes T^-1 (-i M) T real; its unit factors change no bit of a nonzero entry
+_GAUGE = np.array([1.0, -1j, -1.0])
+_GAUGE_FACTOR = -1j * _GAUGE.conj()[:, None] * _GAUGE
+
+
+def _gauged_drift(m: np.ndarray) -> np.ndarray:
+    """Real (..., 3, 3) stack R = T^-1 (-i M) T of a drift_stack M; T^-1 (i M*) T is R^T, as M = M^T."""
+    return (m * _GAUGE_FACTOR).real
+
+
 # Gauss–Legendre nodes of [0, 1] at which _magnus6_block_exp takes the generator
 _GL3_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 

@@ -7,9 +7,12 @@ dark eigenvalue to -i(kappa2 g1^2 + kappa1 g2^2)/2g0^2 and mixes in a
 mechanical component proportional to (kappa1 - kappa2).
 
 Eigenpairs come from LAPACK (np.linalg.eig), one call for a whole stack of
-matrices, and every pair is checked against its residual.  A sweep matches
-the raw eigenvectors of consecutive times by their best overlap
-permutation, so only the composition of those permutations is sequential.
+matrices, and every pair is checked against its residual.  LAPACK solves
+the real matrix R = T^-1 (-i M) T, T = diag(1, -i, -1), whose eigenpairs
+(mu, w) give M's as lambda = i mu and v = T w.  A sweep matches the raw
+eigenvectors of consecutive times by their best overlap permutation, so
+only the composition of those permutations is sequential.  The exact dark
+mode is picked from the checked raw eigenpairs of one matrix.
 
 Near an exceptional point two eigenvectors merge and U stops being
 invertible.  An eigensystem is therefore rejected with SpectralError when
@@ -29,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CouplingSchedule, SystemParams, drift_stack
+from .model import _GAUGE, CouplingSchedule, SystemParams, _gauged_drift, drift_stack
 
 __all__ = [
     "Eigensystem",
@@ -80,57 +83,24 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * _top_phase(v)
 
 
-def _tracked(mats: np.ndarray, reference: np.ndarray | None = None) -> list[Eigensystem]:
-    """Eigensystems of a (K, 3, 3) stack whose columns stay continuous from step to step.
+def _eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (K, 3) and unit eigenvector columns (K, 3, 3) of a drift stack, each pair's residual checked.
 
-    Without reference vectors the first step is ordered by ascending
-    (Re, Im) lambda in the _top_phase gauge; with them it is matched to
-    them.  Each later step is matched to the one before.  Matching picks
-    the column permutation of maximal summed overlap modulus and aligns
-    each column's phase to its predecessor.
+    LAPACK solves the real R = T^-1 (-i M) T of model._gauged_drift; its pairs (mu, w) give lambda = i mu, v = T w.
     """
-    lambdas, raw = np.linalg.eig(mats)
+    mu, w = np.linalg.eig(_gauged_drift(mats))
+    lambdas, raw = 1j * mu, _GAUGE[:, None] * w
     limit = 1e3 * _RESIDUAL_TOL * np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1.0)
     res = np.linalg.norm(mats @ raw - raw * lambdas[:, None, :], axis=1)
     bad = ~(res <= limit[:, None])
     if bad.any():
         k, i = np.argwhere(bad)[0]
         raise SpectralError(f"eigenpair {i} residual {res[k, i]:.3e} out of tolerance")
+    return lambdas, raw
 
-    if reference is None:
-        chain = raw
-        first = np.lexsort((lambdas[0].imag, lambdas[0].real))
-        phase0 = _top_phase(raw[0][:, first])
-    else:
-        chain = np.concatenate([reference[None], raw])
-        first, phase0 = np.arange(3), np.ones(3)
-    if len(chain) == 1:
-        # a lone unreferenced matrix has nothing to match; the complex ones stand for
-        # the phase product's first row, so the result keeps the bits of a sweep's first step
-        order, phase = first[None], phase0 * np.ones((1, 3), dtype=complex)
-    else:
-        # overlaps[k, j, l] = <column j of step k, column l of step k + 1>; the best
-        # permutation of raw columns does not depend on the order chosen before
-        overlaps = np.einsum("kij,kil->kjl", chain[:-1].conj(), chain[1:])
-        scores = np.abs(overlaps)[:, np.arange(3), _PERMUTATIONS].sum(axis=2)
-        sigma = _PERMUTATIONS[scores.argmax(axis=1)]
-        matched = np.take_along_axis(overlaps, sigma[:, :, None], axis=2)[..., 0]
-        orders = [first.tolist()]
-        for step in sigma.tolist():
-            orders.append([step[j] for j in orders[-1]])
-        order = np.array(orders)
-        along = np.take_along_axis(matched, order[:-1], axis=1)
-        lost = np.abs(along) < 0.5
-        if lost.any():
-            k, i = np.argwhere(lost)[0]
-            raise SpectralError(f"continuity tracking lost mode {i}: overlap {abs(along[k, i]):.3f}")
-        phase = phase0 * np.cumprod(np.concatenate([np.ones((1, 3)), along.conj() / np.abs(along)]), axis=0)
-    phase /= np.abs(phase)  # keep the running product from drifting off the unit circle
-    if reference is not None:
-        order, phase = order[1:], phase[1:]
 
-    vectors = np.take_along_axis(raw, order[:, None, :], axis=2) * phase[:, None, :]
-    lambdas = np.take_along_axis(lambdas, order, axis=1)
+def _inverse(vectors: np.ndarray) -> np.ndarray:
+    """U^-1 of a (K, 3, 3) stack of unit-column bases; SpectralError if one is singular or ill-conditioned."""
     try:
         inverse = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
@@ -142,7 +112,49 @@ def _tracked(mats: np.ndarray, reference: np.ndarray | None = None) -> list[Eige
             f"eigenvector matrix has condition number {cond[bad][0]:.3e} > {_MAX_CONDITION:.0e}: "
             "M is at or near an exceptional point"
         )
-    return [Eigensystem(*fields) for fields in zip(lambdas, vectors, inverse)]
+    return inverse
+
+
+def _tracked(mats: np.ndarray, reference: np.ndarray | None = None) -> list[Eigensystem]:
+    """Eigensystems of a (K, 3, 3) drift stack whose columns stay continuous from step to step.
+
+    Without reference vectors the first step is ordered by ascending
+    (Re, Im) lambda in the _top_phase gauge; with them it is matched to
+    them.  Each later step is matched to the one before.  Matching picks
+    the column permutation of maximal summed overlap modulus and aligns
+    each column's phase to its predecessor.
+    """
+    lambdas, raw = _eigenpairs(mats)
+    if reference is None:
+        chain = raw
+        first = np.lexsort((lambdas[0].imag, lambdas[0].real))
+        phase0 = _top_phase(raw[0][:, first])
+    else:
+        chain = np.concatenate([reference[None], raw])
+        first, phase0 = np.arange(3), np.ones(3)
+    # overlaps[k, j, l] = <column j of step k, column l of step k + 1>; the best
+    # permutation of raw columns does not depend on the order chosen before
+    overlaps = np.einsum("kij,kil->kjl", chain[:-1].conj(), chain[1:])
+    scores = np.abs(overlaps)[:, np.arange(3), _PERMUTATIONS].sum(axis=2)
+    sigma = _PERMUTATIONS[scores.argmax(axis=1)]
+    matched = np.take_along_axis(overlaps, sigma[:, :, None], axis=2)[..., 0]
+    orders = [first.tolist()]
+    for step in sigma.tolist():
+        orders.append([step[j] for j in orders[-1]])
+    order = np.array(orders)
+    along = np.take_along_axis(matched, order[:-1], axis=1)
+    lost = np.abs(along) < 0.5
+    if lost.any():
+        k, i = np.argwhere(lost)[0]
+        raise SpectralError(f"continuity tracking lost mode {i}: overlap {abs(along[k, i]):.3f}")
+    phase = phase0 * np.cumprod(np.concatenate([np.ones((1, 3)), along.conj() / np.abs(along)]), axis=0)
+    phase /= np.abs(phase)  # keep the running product from drifting off the unit circle
+    if reference is not None:
+        order, phase = order[1:], phase[1:]
+
+    vectors = np.take_along_axis(raw, order[:, None, :], axis=2) * phase[:, None, :]
+    lambdas = np.take_along_axis(lambdas, order, axis=1)
+    return [Eigensystem(*fields) for fields in zip(lambdas, vectors, _inverse(vectors))]
 
 
 def eigensystem(m: np.ndarray, reference: Eigensystem | None = None) -> Eigensystem:
@@ -184,10 +196,11 @@ def _ideal_dark_vector(g1: float, g2: float) -> np.ndarray:
 
 
 def dark_mode_exact(m: np.ndarray) -> DarkMode:
-    """Select the exact eigenmode of the drift matrix m closest to the ideal dark vector."""
+    """The exact eigenmode of the drift matrix m closest to the ideal dark vector, from checked raw eigenpairs."""
     ideal = _ideal_dark_vector(m[0, 1].real, m[1, 2].real)
-    es = eigensystem(m)
-    overlaps = np.abs(ideal.conj() @ es.vectors)
+    lambdas, raw = _eigenpairs(m[None])
+    _inverse(raw)
+    overlaps = np.abs(ideal.conj() @ raw[0])
     ranked = sorted(range(3), key=lambda i: -overlaps[i])
     if overlaps[ranked[0]] - overlaps[ranked[1]] < 1e-6:
         raise SpectralError(
@@ -195,8 +208,8 @@ def dark_mode_exact(m: np.ndarray) -> DarkMode:
             f"{overlaps[ranked[0]]:.8f} and {overlaps[ranked[1]]:.8f}"
         )
     i = ranked[0]
-    v = _fix_phase(es.vectors[:, i])
-    return DarkMode(vector=v, lambda1=complex(es.lambdas[i]), mechanical_weight=float(abs(v[1]) ** 2))
+    v = _fix_phase(raw[0][:, i])
+    return DarkMode(vector=v, lambda1=complex(lambdas[0, i]), mechanical_weight=float(abs(v[1]) ** 2))
 
 
 def dark_mode_perturbative(params: SystemParams, g1: float, g2: float) -> DarkMode:

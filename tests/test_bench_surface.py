@@ -5,7 +5,8 @@ call a few library functions directly.  Deleting or renaming one of them
 breaks every benchmark run, so these tests fail first.  They load
 perfbench's own modules and change nothing there.  The last ones pin the
 fast paths the workloads take: physicality validation that settles clean
-chunks without eigvalsh, and lone eigensystems that skip mode matching.
+chunks without eigvalsh, and lone eigensystems that keep the bits of a
+sweep's first step.
 """
 
 import importlib.util
@@ -43,6 +44,9 @@ def test_tracer_wraps_every_name_and_restores_it(om):
         m = om.model.dynamic_matrix_at(om.model.SystemParams(0.1, 0.1), om.model.ConstantCoupling(1.0, 1.0), 0.0)
         om.spectral.dark_mode_exact(m)
         assert tracer.counts["spectral.dark_mode.calls"] == 1
+        # dark_mode_exact picks its column from raw eigenpairs and never calls eigensystem
+        assert tracer.counts["spectral.eigensystem.calls"] == 0
+        om.spectral.eigensystem(m)
         assert tracer.counts["spectral.eigensystem.calls"] == 1
     finally:
         tracer.restore()
@@ -139,8 +143,8 @@ def test_clean_chunks_skip_eigvalsh_and_a_faulty_chunk_calls_it_once(om, monkeyp
 
 @pytest.mark.parametrize("damping", [(0.1, 0.2, 0.01), (0.0, 0.0, 0.0)])
 def test_lone_eigensystem_equals_the_first_step_of_a_sweep(om, damping):
-    # skipping the mode matching for one unreferenced matrix keeps every bit of the sweep's
-    # result; without damping the eigenvectors are real, and zero signs would show a change
+    # one unreferenced matrix runs the sweep's code on a one-step chain and keeps every bit
+    # of its first step; without damping the eigenvectors are real, and zero signs would show a change
     params = om.model.SystemParams(*damping, 1.0)
     schedule = om.model.TrigSchedule(amplitude=1.0, duration=100.0)
     h = 1e-3

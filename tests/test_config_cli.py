@@ -415,6 +415,16 @@ def test_unrepresentable_squeezing_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_squeezing_past_a_finite_uncertainty_scale_is_a_config_error(tmp_path, capsys):
+    # sinh^2 r is still finite at r = 355.5, but cosh 2r = 2 sinh^2 r + 1 is not
+    path = tmp_path / "squeezed.cfg"
+    path.write_text(MINIMAL_CONVERT + "\n[initial]\nr = 355.5\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: squeezing r = 355.5 is out of range: cosh 2r = 2 sinh^2 r + 1 is not a finite float\n"
+    )
+
+
 def test_strongly_squeezed_config_runs(tmp_path):
     # at r = 3.91, n(n+1) and |m|^2 are both near 3.9e5, past an absolute 1e-10 tolerance
     path = tmp_path / "squeezed.cfg"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -106,6 +107,32 @@ def test_squeezing_past_a_finite_occupation_is_rejected(r):
     # sinh^2 r overflows a float past r = 355.6; math.sinh itself past r = 710.5
     with pytest.raises(GaussianError, match=f"squeezing r = {r} is out of range"):
         make_squeezed_coherent(0.0, r)
+
+
+@pytest.mark.parametrize("r", [178.0, 200.0, 300.0, 355.0])
+def test_extreme_squeezing_builds_without_overflow(r):
+    # |m|^2 overflows past r = 178, but the defect never squares |m|
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = make_squeezed_coherent(0.0, r, 0.3)
+        embed_initial(s, 0.0)
+    assert math.isfinite(s.n_ex) and math.isfinite(abs(s.m_an))
+
+
+def test_squeezing_whose_uncertainty_scale_overflows_is_rejected():
+    # sinh^2 355.5 = 1.5e308 is finite, cosh 711 = 2 sinh^2 r + 1 is not
+    assert math.isfinite(math.sinh(355.5) ** 2)
+    with pytest.raises(GaussianError, match=r"squeezing r = 355.5 is out of range: cosh 2r"):
+        make_squeezed_coherent(0.0, 355.5)
+
+
+@pytest.mark.parametrize("r", [0.5, 5.0, 178.0, 300.0, 355.0])
+def test_anomalous_moment_one_percent_past_the_bound_is_rejected(r):
+    sq = make_squeezed_coherent(0.0, r, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhysicalityError, match=r"n\(n\+1\) < \|m\|\^2"):
+            SingleModeGaussian(mean=0.0, n_ex=sq.n_ex, m_an=sq.m_an * 1.01)
 
 
 def test_strongly_squeezed_states_are_physical():
