@@ -15,7 +15,9 @@ using M = M^T.  Quadrature covariances use the vacuum = identity
 convention, x = a + a^+, p = -i(a - a^+).
 
 Single-mode reductions feed the Gaussian Uhlmann fidelity, which is
-cross-checked by an independent truncated Fock-basis oracle.
+cross-checked by an independent truncated Fock-basis oracle.  The oracle
+takes no cutoff argument: it is sized from the states' mean photon number
+and certified by the trace deficit of its truncated density matrices.
 """
 
 from __future__ import annotations
@@ -641,25 +643,18 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _rule_cutoff(s: SingleModeGaussian) -> int:
-    _, r, _ = _squeezed_thermal_split(s)
-    a = abs(s.mean)
-    return math.ceil(4.0 * (a * a + 10.0 * a + 20.0 * math.sinh(r) ** 2 + 10.0 * s.n_ex))
-
-
-def fock_oracle_fidelity(
-    s1: SingleModeGaussian, s2: SingleModeGaussian, cutoff: int | None = None
-) -> float:
+def fock_oracle_fidelity(s1: SingleModeGaussian, s2: SingleModeGaussian) -> float:
     """Uhlmann fidelity by explicit truncated Fock-basis density matrices.
 
-    Independent of the covariance formula; used to certify it.  The cutoff
-    starts from a size heuristic (or the given value) and doubles until both
-    truncated matrices have trace deficit below 1e-10; beyond 4096 the
-    evaluation is abandoned.  Each cutoff tried computes the real
-    eigenbases of X = a + a^+ and Y = a^2 + a^+2 once, for both states
-    (see _fock_density); nothing is kept from one call to the next.
+    Independent of the covariance formula; used to certify it.  There is no
+    cutoff argument: the cutoff starts at the larger mean photon number
+    |alpha|^2 + n_ex of the two states (at least 16) and doubles until both
+    truncated matrices have trace deficit below 1e-10, which certifies the
+    truncation; beyond 4096 the evaluation is abandoned.  Each cutoff tried
+    computes the real eigenbases of X = a + a^+ and Y = a^2 + a^+2 once, for
+    both states (see _fock_density); nothing is kept from one call to the next.
     """
-    n = cutoff if cutoff is not None else max(16, _rule_cutoff(s1), _rule_cutoff(s2))
+    n = max(16, math.ceil(max(abs(s.mean) ** 2 + s.n_ex for s in (s1, s2))))
     while True:
         if n > 4096:
             raise GaussianError("Fock cutoff 4096 insufficient for trace deficit 1e-10")

@@ -26,6 +26,7 @@ from omtransfer.model import (
     ConstantCoupling,
     PiecewiseLinearSchedule,
     SystemParams,
+    TanhRampSchedule,
     TrigSchedule,
     drift_stack,
     dynamic_matrix_at,
@@ -326,17 +327,74 @@ def test_fock_oracle_reference_values():
     # coherent overlap identity |<a|b>|^2 = exp(-|a-b|^2)
     c1 = make_squeezed_coherent(2.0, 0.0, 0.0)
     c2 = make_squeezed_coherent(2.0 * np.exp(1j * math.pi / 2), 0.0, 0.0)
-    assert fock_oracle_fidelity(c1, c2, cutoff=64) == pytest.approx(math.exp(-8.0), abs=1e-7)
+    assert fock_oracle_fidelity(c1, c2) == pytest.approx(math.exp(-8.0), abs=1e-7)
 
 
-def test_fock_oracle_doubles_undersized_cutoff():
-    # an explicit cutoff too small for the state is doubled until the
-    # truncated matrices hold all but 1e-10 of the trace
+def _spy_fock_bases(monkeypatch):
+    sizes = []
+    bases = gaussian._fock_bases
+    monkeypatch.setattr(gaussian, "_fock_bases", lambda dim: sizes.append(dim) or bases(dim))
+    return sizes
+
+
+def test_fock_oracle_doubles_undersized_cutoff(monkeypatch):
+    # |alpha|^2 = 4 starts the cutoff at the floor of 16 states, whose
+    # Poisson tail leaves a trace deficit above 1e-10, so it doubles to 32
+    sizes = _spy_fock_bases(monkeypatch)
     coh = make_squeezed_coherent(2.0, 0.0, 0.0)
     vac = make_squeezed_coherent(0.0, 0.0, 0.0)
-    assert fock_oracle_fidelity(coh, vac, cutoff=16) == pytest.approx(
-        math.exp(-4.0), abs=1e-7
+    assert fock_oracle_fidelity(coh, vac) == pytest.approx(math.exp(-4.0), abs=1e-7)
+    assert sizes == [16 + 16, 32 + 16]
+
+
+@pytest.fixture(scope="module")
+def trajectory_pairs():
+    # a pure squeezed coherent input (|alpha| = 2, r = 0.2) against the damped,
+    # mixed state it converts to over T = 100 with n_th = 2 and a mechanical
+    # occupation of 0.1, one pair per schedule kind
+    params = SystemParams(kappa1=0.01, kappa2=0.015, gamma_m=2e-4, n_th=2.0)
+    schedules = (
+        TrigSchedule(1.0, 100.0),
+        TanhRampSchedule(1.0, 50.0, 5.0, 100.0),
+        ConstantCoupling(1.0, -0.7, 100.0),
     )
+    pairs = []
+    for arg, schedule in zip((0.3, 2.0, 4.0), schedules):
+        initial = make_squeezed_coherent(2.0 * np.exp(1j * arg), 0.2, 1.1)
+        traj = integrate(embed_initial(initial, 0.1), params, schedule, 100.0)
+        pairs.append((initial, reduce_to_mode(traj.final, 3)))
+    return pairs
+
+
+def test_fock_oracle_sizes_trajectory_pairs_from_mean_photon_number(monkeypatch, trajectory_pairs):
+    # the input's mean photon number, about 4, starts the cutoff at the floor
+    # of 16 states; the trace deficit doubles it once, to 32 (bases of n + 16)
+    sizes = _spy_fock_bases(monkeypatch)
+    for initial, final in trajectory_pairs:
+        sizes.clear()
+        fid = fock_oracle_fidelity(initial, final)
+        assert sizes == [32, 48]
+        assert fid == pytest.approx(gaussian_fidelity(initial, final), abs=1e-7)
+
+
+def test_fock_oracle_is_independent_of_its_cutoff(trajectory_pairs):
+    # the certified size agrees with a fixed, much larger cutoff of 101 states
+    cutoff = 101
+    bases = gaussian._fock_bases(cutoff + max(16, cutoff // 2))
+    for initial, final in trajectory_pairs:
+        (rho1, d1), (rho2, d2) = (gaussian._fock_density(s, cutoff, bases) for s in (initial, final))
+        assert max(d1, d2) < 1e-10
+        root = gaussian._psd_sqrt(rho1)
+        wide = float(np.trace(gaussian._psd_sqrt(root @ rho2 @ root)).real) ** 2
+        assert fock_oracle_fidelity(initial, final) == pytest.approx(wide, abs=1e-7)
+
+
+def test_fock_oracle_rejects_large_state_before_building_a_basis(monkeypatch):
+    sizes = _spy_fock_bases(monkeypatch)
+    big = make_squeezed_coherent(65.0, 0.0, 0.0)  # |alpha|^2 = 4225 > 4096
+    with pytest.raises(GaussianError, match="4096"):
+        fock_oracle_fidelity(big, make_squeezed_coherent(0.0, 0.0, 0.0))
+    assert sizes == []
 
 
 def test_fock_oracle_matches_gaussian_formula():
