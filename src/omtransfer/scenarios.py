@@ -93,10 +93,16 @@ def _convert(config: ScenarioConfig, cfgs: list[ScenarioConfig]):
                         ("f0T", report.f0T), ("fs", report.fs)]
         if config.delta_f:
             f_ref = gaussian.gaussian_fidelity(initials[idx], finals[len(cfgs) + idx])
-            # report.fs is this same fs_bound call
-            fsb = report.fs if report is not None else adiabatic.fs_bound(cfg.params, schedule, duration)
-            row += [f_ref, abs(f_num - f_ref), fsb]
-            scalars += [("F_reference", f_ref), ("delta_F", abs(f_num - f_ref)), ("fs_bound", fsb)]
+            row += [f_ref, abs(f_num - f_ref), ""]
+            scalars += [("F_reference", f_ref), ("delta_F", abs(f_num - f_ref))]
+            try:
+                # report.fs is this same fs_bound call
+                fsb = report.fs if report is not None else adiabatic.fs_bound(cfg.params, schedule, duration)
+            except adiabatic.AdiabaticError:
+                pass  # g0 vanishes inside the schedule; the bound is undefined
+            else:
+                row[-1] = fsb
+                scalars.append(("fs_bound", fsb))
         return (), row, scalars
 
     return header, "", point

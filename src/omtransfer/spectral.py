@@ -73,8 +73,14 @@ class DarkMode:
 
 
 def _top_phase(v: np.ndarray) -> np.ndarray:
-    """Unit factor making the largest-modulus entry of v (of each column) real and positive."""
-    top = np.take_along_axis(v, np.abs(v).argmax(axis=0)[None], axis=0)[0]
+    """Unit factor making the top entry of v (of each column) real and positive.
+
+    The top entry is the first whose modulus is within 8 eps relative of the
+    largest, so moduli tied up to rounding do not let rounding pick it.
+    """
+    mod = np.abs(v)
+    near = mod >= (1.0 - 8.0 * np.finfo(float).eps) * mod.max(axis=0)
+    top = np.take_along_axis(v, near.argmax(axis=0)[None], axis=0)[0]
     return top.conj() / np.abs(top)
 
 
@@ -162,13 +168,13 @@ def eigensystem(m: np.ndarray, reference: Eigensystem | None = None) -> Eigensys
 
     Without a reference the modes are ordered by ascending Re(lambda), then
     Im(lambda), and each vector's phase is fixed so its largest-modulus
-    component is real and positive.  With a reference (a previous step of
-    a time sweep) the modes are matched to it by maximal overlap and the
-    phases are aligned to the reference gauge, which keeps U(t)
-    differentiable along sweeps.  Raises SpectralError when an overlap
-    falls below 0.5, an eigenpair residual exceeds 1e3 * _RESIDUAL_TOL
-    * max(||M||_F, 1), or U is singular or ill-conditioned (see module
-    docstring).
+    component, the first of any tied within 8 eps, is real and positive.
+    With a reference (a previous step of a time sweep) the modes are
+    matched to it by maximal overlap and the phases are aligned to the
+    reference gauge, which keeps U(t) differentiable along sweeps.  Raises
+    SpectralError when an overlap falls below 0.5, an eigenpair residual
+    exceeds 1e3 * _RESIDUAL_TOL * max(||M||_F, 1), or U is singular or
+    ill-conditioned (see module docstring).
     """
     ref = None if reference is None else reference.vectors
     return _tracked(m[None], ref)[0]

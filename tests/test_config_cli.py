@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import omtransfer
+from omtransfer import gaussian
 from omtransfer.cli import main
 from omtransfer.config import (
     ConfigError,
@@ -15,7 +16,7 @@ from omtransfer.config import (
     parse_config,
     serialize_config,
 )
-from omtransfer.model import ConstantCoupling, SystemParams
+from omtransfer.model import ConstantCoupling, SystemParams, TrigSchedule
 from omtransfer.scenarios import run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -187,6 +188,22 @@ def test_run_transmit_and_determinism(tmp_path):
     assert math.isfinite(scalars["half_width_numeric"])
 
 
+def test_magnus_kernel_paths_are_deterministic(tmp_path, capsys):
+    # the engineered pulse and integrate both run model._magnus6_block_exp
+    runs = []
+    for out in ("a", "b"):
+        assert main(["run", str(SCENARIO_DIR / "engineer_step.cfg"), "--out", str(tmp_path / out)]) == 0
+        files = sorted((tmp_path / out).iterdir())
+        runs.append(([p.name for p in files], [p.read_bytes() for p in files], capsys.readouterr().out))
+    assert runs[0] == runs[1] and len(runs[0][0]) == 3
+
+    state = gaussian.embed_initial(gaussian.make_squeezed_coherent(1.0 - 0.5j, 0.3, 0.4), 2.0)
+    params = SystemParams(kappa1=0.05, kappa2=0.02, gamma_m=1e-3, n_th=4.0)
+    first, second = (gaussian.integrate(state, params, TrigSchedule(2.0, 30.0), 30.0, n_samples=301) for _ in "ab")
+    for field in ("times", "mean", "normal", "anomalous"):
+        assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+
+
 def test_convert_scenario_csv_columns(tmp_path):
     text = MINIMAL_CONVERT + "\n[sweep]\nparameter = kappa1\nvalues = 0.1, 0.2\n"
     artifacts = run_scenario(parse_config(text), out_dir=tmp_path)
@@ -220,6 +237,26 @@ def test_delta_f_columns(tmp_path):
     assert header[-3:] == ["F_reference", "delta_F", "fs_bound"]
     scalars = dict(artifacts.summaries[0].scalars)
     assert scalars["delta_F"] >= 0.0
+
+
+def test_delta_f_blank_fs_bound_where_g0_vanishes(tmp_path, capsys):
+    # g0 is 0 on the interior plateau [1, 1.2], so fs_bound is undefined; the
+    # analytic columns are blank too, but F_reference and delta_F still stand
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text(
+        "[scenario]\ntype = convert\ndelta_f = true\n\n"
+        "[params]\nkappa1 = 0.1\nkappa2 = 0.1\ngamma_m = 1e-3\nn_th = 10\n\n"
+        "[initial]\nalpha_re = 1.0\n\n"
+        "[schedule]\ntype = piecewise\npoints = 0.0:0.0:-5.0, 1.0:0.0:0.0, 1.2:0.0:0.0, 2.2:5.0:0.0\n\n"
+        "[output]\npath = gap\n"
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    summary = capsys.readouterr().out
+    header, row = (tmp_path / "gap.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["fs_bound"] == cells["F_analytic"] == ""
+    assert 0.0 < float(cells["delta_F"]) < 1e-3 and 0.0 < float(cells["F_reference"]) <= 1.0
+    assert "delta_F=" in summary and "F_reference=" in summary and "fs_bound" not in summary
 
 
 def test_cli_validate_and_run(tmp_path, capsys):

@@ -19,6 +19,7 @@ from omtransfer.model import (
     adiabaticity,
     _magnus6_block_exp,
     _magnus6_block_omega,
+    _mul,
     drift_stack,
     dynamic_matrix_at,
 )
@@ -370,3 +371,62 @@ def test_block_kernel_matches_the_full_matrix_kernel_on_a_trajectory_chunk():
     for rows, cols in ((slice(3), slice(3)), (slice(3), slice(3, 6)), (slice(3, 6), slice(3, 6))):
         block = want[:, rows, cols]
         assert np.abs(got[:, rows, cols] - block).max() <= 1e-14 * np.abs(block).max()
+
+
+def _left_to_right(a, b):
+    """sum over j of a[:, j] b[j], added left to right onto +0, each complex product from real parts unfused."""
+    ar, ai, br, bi = a.real, np.imag(a), b.real, np.imag(b)
+    re = im = 0.0
+    for j in range(a.shape[1]):
+        xr, xi = ar[:, j, None], ai[:, j, None]
+        re = re + (xr * br[j] - xi * bi[j])
+        im = im + (xr * bi[j] + xi * br[j])
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return re
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+@pytest.mark.parametrize("dtypes", [(float, float), (complex, complex), (complex, float), (float, complex)])
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        ((3, 3, 64), (3, 3, 64)),
+        ((3, 3, 1), (3, 3, 64)),  # S = 1 broadcasts on the left
+        ((3, 3, 64), (3, 1, 1)),  # and on the right, as integrate's mean
+        ((3, 3, 64), (3, 2, 64)),  # the pulse path's m = 2 block
+        ((3, 2, 64), (2, 2, 64)),  # its k = 2 block
+        ((2, 2, 64), (2, 2, 1)),
+    ],
+)
+def test_mul_is_the_left_to_right_sum_bit_for_bit(dtypes, shapes):
+    # every bitwise comparison of the Magnus kernel's outputs (the complex-frame
+    # tests of test_real_gauge.py, the golden CSVs) rests on this contraction
+    # rule; a numpy whose einsum fuses multiply-adds, or reorders the sum, fails here
+    rng = np.random.default_rng(5)
+
+    def draw(shape, dtype):
+        v = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0.0)
+        return v * np.logspace(-8, 8, shape[-1])
+
+    a, b = (draw(s, d) for s, d in zip(shapes, dtypes))
+    got = _mul(a, b)
+    want = _left_to_right(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the same values through strided views, as integrate's transposed propagators
+    a_view = np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+    assert _mul(a_view, b[..., ::-1]).tobytes() == _left_to_right(a, b[..., ::-1].copy()).tobytes()
+
+
+def test_mul_sums_signed_zeros_onto_positive_zero():
+    # einsum adds onto a zeroed output, so a sum of products that are all -0 is +0
+    rng = np.random.default_rng(7)
+    for dtypes in ((float, float), (complex, complex), (complex, float)):
+        a = np.where(rng.random((3, 3, 32)) < 0.5, -0.0, 0.0).astype(dtypes[0])
+        b = np.where(rng.random((3, 2, 32)) < 0.5, -0.0, 1.5).astype(dtypes[1])
+        if dtypes[0] is complex:
+            a.imag = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)
+        got = _mul(a, b)
+        assert got.tobytes() == _left_to_right(a, b).tobytes()
+        assert not np.signbit(got.view(float)).any()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from omtransfer.model import ConstantCoupling, SystemParams, TrigSchedule
 from omtransfer.model import TanhRampSchedule, drift_stack, dynamic_matrix_at
@@ -12,6 +12,7 @@ from omtransfer.spectral import (
     adiabatic_correction_norm,
     dark_mode_exact,
     dark_mode_perturbative,
+    _top_phase,
     eigensystem,
     eigensystem_sweep,
 )
@@ -202,6 +203,23 @@ def test_exceptional_point_rejected_and_its_neighbours_resolved():
         es = checked_eigensystem(drift(p, g1, 0.0))
         split = math.sqrt(g1 * g1 - 0.01)
         assert_allclose(es.lambdas, [-split - 0.1j, 0.0, split - 0.1j], rtol=0.0, atol=1e-12)
+
+
+def test_top_phase_picks_the_same_entry_when_a_tie_moves_by_one_ulp():
+    # entries 1 and 2 tie in modulus, as (bm, a2) do on the trig ramp at t = 0;
+    # the first entry within 8 eps of the largest wins on either side of the tie
+    for tied in (5.0, np.nextafter(5.0, 0.0), np.nextafter(5.0, 6.0)):
+        for column in ([1.0, 3.0 + 4.0j, 1j * tied], [1.0, -tied, 3.0 - 4.0j]):
+            v = np.array(column)
+            unit = v.conj() / np.abs(v)
+            assert _top_phase(v) == unit[1]
+            # reversed, the other tied entry comes first
+            assert_array_equal(_top_phase(np.column_stack([v, v[::-1]])), unit[1:])
+    # and so does every eigenvector of the ramp's first drift, lossless or damped
+    for p in (SystemParams(0.0, 0.0, 0.0), SystemParams(0.01, 0.02, 1e-4), SystemParams(0.1, 0.1, 1e-3)):
+        v = eigensystem(dynamic_matrix_at(p, TrigSchedule(5.0, 1.0), 0.0)).vectors
+        assert_array_equal(v[0, 2], abs(v[0, 2]))
+        assert_array_equal(v[1, :2], abs(v[1, :2]))
 
 
 _rates = st.floats(0.0, 1.0)
