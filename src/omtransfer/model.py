@@ -373,6 +373,8 @@ def _magnus6_block_exp(x: np.ndarray, y: np.ndarray, z: np.ndarray, h):
     1-norm to at most 1/4, squared s times block by block.  Its degree is
     the least m <= 12 whose truncation term theta^(m+1)/(m+1)! is at most
     3e-18 at the stack's largest scaled norm theta (m = 12 at theta = 1/4).
+    Both callers, gaussian._magnus_samples and transmission._piece_maps,
+    pass real float64 blocks built from _gauged_drift.
     """
     ox, oy, oz = _magnus6_block_omega(x, y, z, h)
     norm = np.maximum(np.abs(ox).sum(0).max(0), (np.abs(oy).sum(0) + np.abs(oz).sum(0)).max(0))

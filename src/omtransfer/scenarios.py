@@ -109,10 +109,13 @@ def _convert(config: ScenarioConfig, cfgs: list[ScenarioConfig]):
 
 
 def _resonance(cfg: ScenarioConfig):
-    """(T31(0) report, analytic half-width, numeric half-width) at the point's couplings."""
+    """T31(0) report and the half-width scalars at the point's couplings, none where undefined."""
     g1, g2 = cfg.schedule.g1, cfg.schedule.g2
-    return (transmission.t31_resonant(cfg.params, g1, g2),
-            *transmission.half_width(cfg.params, g1, g2))
+    try:
+        widths = transmission.half_width(cfg.params, g1, g2)
+    except transmission.TransmissionError:
+        widths = ()  # a lossless cavity or no crossing in (0, g0/2]; T(w) stands without it
+    return transmission.t31_resonant(cfg.params, g1, g2), [*zip(("half_width_analytic", "half_width_numeric"), widths)]
 
 
 def _spectrum(config: ScenarioConfig, cfgs: list[ScenarioConfig]):
@@ -120,9 +123,8 @@ def _spectrum(config: ScenarioConfig, cfgs: list[ScenarioConfig]):
 
     def point(idx: int, cfg: ScenarioConfig):
         spec = transmission.transmission_spectrum(cfg.params, cfg.schedule.g1, cfg.schedule.g2, omegas)
-        res, hw_an, hw_num = _resonance(cfg)
-        scalars = [("t31_0", res.value), ("optimal", 1.0 if res.optimal else 0.0),
-                   ("half_width_analytic", hw_an), ("half_width_numeric", hw_num)]
+        res, widths = _resonance(cfg)
+        scalars = [("t31_0", res.value), ("optimal", 1.0 if res.optimal else 0.0), *widths]
         return (("", transmission.spectrum_to_csv(spec)),), [], scalars
 
     return None, "", point
@@ -146,9 +148,10 @@ def _pulse(config: ScenarioConfig, cfgs: list[ScenarioConfig]):
         files = (("_in", transmission.pulse_to_csv(p_in)), ("_out", transmission.pulse_to_csv(p_out)))
         scalars = [("Fp", fp), ("energy_ratio", energy)]
         if not time_domain:
-            res, hw_an, hw_num = _resonance(cfg)
-            scalars += [("t31_0", res.value), ("half_width_analytic", hw_an), ("half_width_numeric", hw_num)]
-        return files, [value for _, value in scalars], scalars
+            res, widths = _resonance(cfg)
+            scalars += [("t31_0", res.value), *widths]
+        # an undefined half-width leaves its cells blank
+        return files, [value for _, value in scalars] + [""] * (len(header) - len(scalars)), scalars
 
     return header, "_summary", point
 

@@ -22,10 +22,11 @@ The paper's quoted pulse fidelities (0.97 / 0.77) correspond to sqrt(Fp),
 the overlap modulus.
 
 Time-dependent couplings are handled by propagating the driven mean
-equation exactly linear in the input, with sixth-order Magnus panels split
-at the schedule's kinks and an error estimate per panel count; for
-constant couplings this doubles as an independent cross-check of the FFT
-path.
+equation exactly linear in the input, in real arithmetic in the gauge
+T = diag(1, -i, -1) that the moment integrator uses, with sixth-order
+Magnus panels split at the schedule's kinks and an error estimate per
+panel count; the pieces compose by one doubling scan.  For constant
+couplings this doubles as an independent cross-check of the FFT path.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import build_csv
-from .model import _GL3_NODES, CouplingSchedule, SystemParams, _magnus6_block_exp, drift_stack
+from .model import _GAUGE, _GL3_NODES, CouplingSchedule, SystemParams, _gauged_drift, _magnus6_block_exp, _mul, drift_stack
 
 __all__ = [
     "TransmissionError",
@@ -308,16 +309,18 @@ def transmit_pulse_freq(
 def _piece_maps(
     params: SystemParams, schedule: CouplingSchedule, starts: np.ndarray, lengths: np.ndarray, n: int
 ) -> list[np.ndarray]:
-    """(P, 5, 5) propagators of z = [y; u; du/dt] over each piece, as n and as 2n Magnus-6 panels.
+    """Real (P, 5, 5) propagators of z = [y'; u; du/dt] over each piece, as n and as 2n Magnus-6 panels.
 
-    The generator [[-iM(t), sqrt(k1) e1, 0], [0, 0, 1], [0, 0, 0]] does not
-    depend on the input, so a run of panels with equal length and equal
-    couplings at the nodes shares one exponential, and a run of pieces made
-    of the same panels one product.  Those exponentials are one call of the
-    block kernel model._magnus6_block_exp, with X = -iM(t), the constant
-    Y = sqrt(k1) e1 (1, 0) and Z = [[0, 1], [0, 0]], the blocks returned
-    step-last and assembled into (P, 5, 5) panels.  One schedule call serves
-    both panel counts; n is a power of two.
+    In the gauge y = T y', T = diag(1, -i, -1) of model._gauged_drift, the
+    generator [[R(t), sqrt(k1) e1 (1, 0)], [0, J]], R = T^-1 (-i M) T, is
+    real, as T^-1 e1 = e1.  It does not depend on the input, so a run of
+    panels with equal length and equal couplings at the nodes shares one
+    exponential, and a run of pieces made of the same panels one product.
+    Those exponentials are one call of the block kernel
+    model._magnus6_block_exp, with X = R(t), Y = sqrt(k1) e1 (1, 0) and
+    Z = J = [[0, 1], [0, 0]], the blocks returned step-last and assembled
+    into (P, 5, 5) panels.  One schedule call serves both panel counts; n
+    is a power of two.
     """
     counts = (n, 2 * n)
     h = np.concatenate([np.repeat(lengths / m, m) for m in counts])
@@ -326,12 +329,12 @@ def _piece_maps(
     keys = np.column_stack([h, g1, g2])
     fresh, inverse = _runs(keys)
     keys = keys[fresh].T
-    m = np.moveaxis(drift_stack(params.damping_diagonal, keys[1:4], keys[4:]), 1, -1)
+    r = np.moveaxis(_gauged_drift(drift_stack(params.damping_diagonal, keys[1:4], keys[4:])), 1, -1)
     drive, slope = np.zeros((3, 2, 1)), np.zeros((3, 2, 2, 1))  # Y, and Z at the three nodes
     drive[0, 0], slope[:, 0, 1] = math.sqrt(params.kappa1), 1.0
-    panels = np.zeros((5, 5, keys.shape[1]), dtype=complex)
+    panels = np.zeros((5, 5, keys.shape[1]))
     panels[:3, :3], panels[:3, 3:], panels[3:, 3:] = _magnus6_block_exp(
-        np.ascontiguousarray(-1j * m), drive, slope, keys[0]
+        np.ascontiguousarray(r), drive, slope, keys[0]
     )
     panels = np.moveaxis(panels, -1, 0)
     products = []
@@ -357,12 +360,15 @@ def transmit_pulse_time(
     """Drive the network with the input pulse and read out -sqrt(k2) <a2(t)>.
 
     Solves d<v>/dt = -i M(t) <v> + sqrt(k1) (<a_in(t)>, 0, 0)^T with the
-    input linear between samples, so z = [<v>; a_in; d a_in/dt] obeys a
-    linear equation whose generator depends on the couplings alone.  Each
-    grid interval, split at the schedule's kinks, is carried by
-    sixth-order Magnus panels; step doubling sets their number per piece.
-    Supports arbitrary coupling schedules covering the pulse window, which
-    is what enables output pulse engineering.
+    input linear between samples, in the gauge <v> = T y' of _piece_maps,
+    so z = [y'; a_in; d a_in/dt] obeys a real linear equation whose
+    generator depends on the couplings alone.  Each grid interval, split at
+    the schedule's kinks, is carried by sixth-order Magnus panels; step
+    doubling sets their number per piece.  Piece j then maps y' to
+    phi_j y' + c_j, and one real inclusive doubling scan over all pieces
+    gives y' at every piece's end; <a2> = T[2] y'_2.  Supports arbitrary
+    coupling schedules covering the pulse window, which is what enables
+    output pulse engineering.
     """
     t_grid = p_in.times
     if abs(t_grid[0]) > 1e-12 * max(1.0, abs(t_grid[-1])):
@@ -373,14 +379,12 @@ def transmit_pulse_time(
             f"window [0, {t_grid[-1]}]"
         )
     dt = p_in.dt
-    n_int = t_grid.size - 1
     u = p_in.amplitudes
     slope = np.diff(u) / dt
 
     # pieces: grid intervals split where the couplings kink
     edges = np.union1d(t_grid, schedule.kinks(0.0, t_grid[-1]))
     interval = np.searchsorted(t_grid, edges[:-1], side="right") - 1
-    rank = np.arange(interval.size) - np.searchsorted(interval, interval)
     # whole intervals take the grid's dt, so that their keys repeat exactly
     lengths = np.where(np.bincount(interval)[interval] == 1, dt, np.diff(edges))
     starts = edges[:-1]
@@ -392,7 +396,7 @@ def transmit_pulse_time(
     y_bound = math.sqrt(dt * float(np.vdot(u, u).real))
     weights = np.array([y_bound] * 3 + [peak, float(np.abs(slope).max())])
     tol = _PULSE_TOL * peak
-    maps = np.empty((starts.size, 5, 5), dtype=complex)
+    maps = np.empty((starts.size, 5, 5))
     counts = np.ones(starts.size, dtype=int)
     done = np.zeros(starts.size, dtype=bool)
     todo = np.arange(starts.size)
@@ -415,26 +419,20 @@ def transmit_pulse_time(
             counts[group[~ok]] = n << np.minimum(shift, 20).astype(int)
         todo = todo[~done[todo]]
 
-    step = maps[rank == 0]
-    for r in range(1, int(rank.max()) + 1):
-        later = rank == r
-        step[interval[later]] = maps[later] @ step[interval[later]]
-    phi = step[:, :3, :3]
-    drive = step[:, :3, 3] * u[:-1, None] + step[:, :3, 4] * slope[:, None]
-
-    # y_{k+1} = phi_k y_k + drive_k in Python complex arithmetic, which beats numpy on 3-vectors
-    y0 = y1 = y2 = 0j
-    a2 = [y2]
-    for (p00, p01, p02, p10, p11, p12, p20, p21, p22), (d0, d1, d2) in zip(
-        phi.reshape(-1, 9).tolist(), drive.tolist()
-    ):
-        y0, y1, y2 = (
-            p00 * y0 + p01 * y1 + p02 * y2 + d0,
-            p10 * y0 + p11 * y1 + p12 * y2 + d1,
-            p20 * y0 + p21 * y1 + p22 * y2 + d2,
-        )
-        a2.append(y2)
-    return Pulse(times=t_grid.copy(), amplitudes=-math.sqrt(params.kappa2) * np.array(a2))
+    # piece j maps y' to phi_j y' + c_j, u(s_j) on the interval's input line at its start s_j;
+    # c as real (re, im) columns; both step-last and contiguous, where _mul's einsum is fast
+    u_start = u[interval] + slope[interval] * (starts - t_grid[interval])
+    maps = np.ascontiguousarray(maps[:, :3].transpose(1, 2, 0))
+    phi, c = maps[:, :3], maps[:, 3] * u_start + maps[:, 4] * slope[interval]
+    c = np.stack([c.real, c.imag], axis=1)
+    d = 1
+    while d < starts.size:  # inclusive doubling scan: c_j becomes y' at the end of piece j
+        c[..., d:] += _mul(phi[..., d:], c[..., :-d])
+        phi[..., d:] = _mul(phi[..., d:], phi[..., :-d])
+        d *= 2
+    re, im = c[2][:, np.append(interval[1:] != interval[:-1], True)]  # each interval's last piece
+    y2 = np.append(0.0, re + 1j * im)  # <a2> = T[2] y'_2, T[2] real
+    return Pulse(times=t_grid.copy(), amplitudes=-math.sqrt(params.kappa2) * _GAUGE[2].real * y2)
 
 
 def pulse_to_csv(pulse: Pulse) -> str:

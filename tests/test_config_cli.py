@@ -415,12 +415,35 @@ def test_non_finite_number_is_a_config_error(text, message, tmp_path, capsys):
 
 
 def test_failed_run_writes_no_csv(tmp_path, capsys):
-    # the second point has kappa2 = 0, so its half-width fails after the first point has run
+    # the second point has lossless cavities, so T(w) is singular after the first point has run
     path = tmp_path / "fig2a.cfg"
-    path.write_text(_swept((SCENARIO_DIR / "fig2a.cfg").read_text(), "kappa1, kappa2", "0.48:0.27, 0.32:0.0"))
+    path.write_text(_swept((SCENARIO_DIR / "fig2a.cfg").read_text(), "kappa1, kappa2", "0.48:0.27, 0.0:0.0"))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "half-width requires kappa1, kappa2 > 0" in capsys.readouterr().err
+    assert "(I w - M) is singular at omega = 0.0" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("values", ["0.0:0.27, 0.32:0.18", "20.0:20.0, 0.32:0.18"], ids=["lossless_a1", "no_crossing"])
+def test_spectrum_point_without_a_half_width_runs(values, tmp_path, capsys):
+    # the first point's half-width is undefined, while its T(w) is not
+    path = tmp_path / "fig2a.cfg"
+    path.write_text(_swept((SCENARIO_DIR / "fig2a.cfg").read_text(), "kappa1, kappa2", values))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["spectrum_001.csv", "spectrum_002.csv"]
+    first, second = capsys.readouterr().out.splitlines()[:2]
+    assert "t31_0=" in first and "half_width" not in first
+    assert "half_width_analytic=" in second and "half_width_numeric=" in second
+
+
+def test_transmit_point_without_a_half_width_leaves_its_cells_blank(tmp_path, capsys):
+    path = tmp_path / "fig2b.cfg"
+    path.write_text(_swept(FIG2B, "kappa1, kappa2", "20.0:20.0, 0.32:0.18"))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    header, first, second = (tmp_path / "transmit_summary.csv").read_text(encoding="utf-8").splitlines()
+    assert header.endswith("t31_0,half_width_analytic,half_width_numeric")
+    assert first.endswith(",,") and first.split(",")[4] != ""
+    assert "" not in second.split(",")
+    assert "half_width" not in capsys.readouterr().out.splitlines()[0]
 
 
 def test_run_prints_no_warning_twice(tmp_path):

@@ -1,20 +1,22 @@
-"""The trajectory path's real gauge against frozen complex-frame copies.
+"""The real gauge against frozen complex-frame copies.
 
-integrate, the eigensolves and the Fock oracle work in the gauge
-v = T w, T = diag(1, -i, -1), where the drift and the Fock generators are
-real.  The copies below are the complex-frame code these replaced; every
-factor of the gauge is a unit, so trajectories stay bitwise the same and
-the rest agrees to rounding.
+integrate, the time-domain pulse path, the eigensolves and the Fock oracle
+work in the gauge v = T w, T = diag(1, -i, -1), where the drift and the
+Fock generators are real.  The copies below are the complex-frame code
+these replaced; every factor of the gauge is a unit, so trajectories stay
+bitwise the same and the rest agrees to rounding.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omtransfer import gaussian, spectral
+from omtransfer import gaussian, model, spectral, transmission
+from omtransfer.cli import main
 from omtransfer.gaussian import GaussianError, PhysicalityError
 from omtransfer.model import (
     _GAUGE,
@@ -92,6 +94,123 @@ def test_gauged_magnus_samples_equal_the_complex_frame(kind, params):
             for field, ref in zip(chunk, frozen):
                 assert field.dtype == ref.dtype and field.flags.c_contiguous
                 assert np.array_equal(field, ref)
+
+
+def _piece_maps_complex(params, schedule, starts, lengths, n):
+    counts = (n, 2 * n)
+    h = np.concatenate([np.repeat(lengths / m, m) for m in counts])
+    t0 = np.concatenate([(starts[:, None] + (lengths / m)[:, None] * np.arange(m)).ravel() for m in counts])
+    g1, g2 = schedule.values(t0[:, None] + h[:, None] * _GL3_NODES)
+    keys = np.column_stack([h, g1, g2])
+    fresh, inverse = transmission._runs(keys)
+    keys = keys[fresh].T
+    m = np.moveaxis(drift_stack(params.damping_diagonal, keys[1:4], keys[4:]), 1, -1)
+    drive, slope = np.zeros((3, 2, 1)), np.zeros((3, 2, 2, 1))
+    drive[0, 0], slope[:, 0, 1] = math.sqrt(params.kappa1), 1.0
+    panels = np.zeros((5, 5, keys.shape[1]), dtype=complex)
+    panels[:3, :3], panels[:3, 3:], panels[3:, 3:] = _magnus6_block_exp(
+        np.ascontiguousarray(-1j * m), drive, slope, keys[0]
+    )
+    panels = np.moveaxis(panels, -1, 0)
+    products = []
+    for index in np.split(inverse, [n * starts.size]):
+        index = index.reshape(starts.size, -1)
+        fresh, piece = transmission._runs(index)
+        part = panels[index[fresh]]
+        while part.shape[1] > 1:
+            part = part[:, 1::2] @ part[:, ::2]
+        products.append(part[piece, 0])
+    return products
+
+
+def _transmit_pulse_time_complex(p_in, params, schedule):
+    """transmit_pulse_time in the complex frame: per-interval rank composition, then a Python recursion."""
+    t_grid, dt, u = p_in.times, p_in.dt, p_in.amplitudes
+    slope = np.diff(u) / dt
+    edges = np.union1d(t_grid, schedule.kinks(0.0, t_grid[-1]))
+    interval = np.searchsorted(t_grid, edges[:-1], side="right") - 1
+    rank = np.arange(interval.size) - np.searchsorted(interval, interval)
+    lengths = np.where(np.bincount(interval)[interval] == 1, dt, np.diff(edges))
+    starts = edges[:-1]
+    peak = float(np.abs(u).max())
+    weights = np.array([math.sqrt(dt * float(np.vdot(u, u).real))] * 3 + [peak, float(np.abs(slope).max())])
+    tol = transmission._PULSE_TOL * peak
+    maps = np.empty((starts.size, 5, 5), dtype=complex)
+    counts = np.ones(starts.size, dtype=int)
+    done = np.zeros(starts.size, dtype=bool)
+    todo = np.arange(starts.size)
+    while todo.size:
+        for n in np.unique(counts[todo]):
+            group = todo[counts[todo] == n]
+            coarse, fine = _piece_maps_complex(params, schedule, starts[group], lengths[group], int(n))
+            err = (np.abs(fine[:, :3] - coarse[:, :3]) * weights).sum(-1).max(-1)
+            ok = err <= tol
+            maps[group[ok]], done[group[ok]] = coarse[ok], True
+            shift = np.ceil(np.log2(2.0 * err[~ok] / tol) / 6.0)
+            counts[group[~ok]] = n << np.minimum(shift, 20).astype(int)
+        todo = todo[~done[todo]]
+    step = maps[rank == 0]
+    for r in range(1, int(rank.max()) + 1):
+        later = rank == r
+        step[interval[later]] = maps[later] @ step[interval[later]]
+    phi = step[:, :3, :3]
+    drive = step[:, :3, 3] * u[:-1, None] + step[:, :3, 4] * slope[:, None]
+    y0 = y1 = y2 = 0j
+    a2 = [y2]
+    for (p00, p01, p02, p10, p11, p12, p20, p21, p22), (d0, d1, d2) in zip(
+        phi.reshape(-1, 9).tolist(), drive.tolist()
+    ):
+        y0, y1, y2 = (
+            p00 * y0 + p01 * y1 + p02 * y2 + d0,
+            p10 * y0 + p11 * y1 + p12 * y2 + d1,
+            p20 * y0 + p21 * y1 + p22 * y2 + d2,
+        )
+        a2.append(y2)
+    return -math.sqrt(params.kappa2) * np.array(a2), counts
+
+
+def _pulse_case(kind, amplitude):
+    p_in = transmission.gaussian_pulse(0.2, amplitude, 512)
+    t_end = float(p_in.times[-1])
+    schedule = {
+        "constant": ConstantCoupling(4.0, 3.0),
+        # the bundled engineer_step couplings: a kink inside one grid interval splits it in two pieces
+        "engineer_step": PiecewiseLinearSchedule((0.0, 40.0, 40.01, 80.0), (0.0, 0.0, 4.0, 4.0), (0.0, 0.0, 3.0, 3.0)),
+        # g0 dt = 1: pieces near the crossover take several panels
+        "tanh": TanhRampSchedule(g_max=1.0 / p_in.dt, center=0.45 * t_end, width=0.5, duration=t_end),
+    }[kind]
+    return p_in, SystemParams(kappa1=0.32, kappa2=0.16, gamma_m=0.001), schedule
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 0.3 - 0.2j], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["constant", "engineer_step", "tanh"])
+def test_gauged_pulse_scan_equals_the_complex_frame(kind, amplitude):
+    p_in, params, schedule = _pulse_case(kind, amplitude)
+    got = transmission.transmit_pulse_time(p_in, params, schedule).amplitudes
+    want, counts = _transmit_pulse_time_complex(p_in, params, schedule)
+    assert counts.max() > 1 or kind != "tanh"
+    assert np.abs(want).max() > 0.1 * abs(amplitude)
+    # measured at most 4.4e-15 of the peak
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(p_in.amplitudes).max()
+
+
+def test_magnus_kernel_takes_only_real_generators(monkeypatch, tmp_path):
+    seen = []
+
+    def spy(x, y, z, h):
+        seen.append((x.dtype, y.dtype, z.dtype))
+        return model._magnus6_block_exp(x, y, z, h)
+
+    # both callers import the kernel by name
+    monkeypatch.setattr(gaussian, "_magnus6_block_exp", spy)
+    monkeypatch.setattr(transmission, "_magnus6_block_exp", spy)
+    state = gaussian.embed_initial(gaussian.make_squeezed_coherent(0.5 + 0.5j, 0.3, 0.4), 0.5)
+    gaussian.integrate(state, PARAMS[0], SCHEDULES["trig"], 30.0, n_samples=5)
+    from_integrate = len(seen)
+    config = Path(__file__).resolve().parents[1] / "scenarios" / "engineer_step.cfg"
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 0
+    assert 0 < from_integrate < len(seen)
+    assert set(seen) == {(np.dtype(np.float64),) * 3}
 
 
 def _random_drift(rng):

@@ -438,3 +438,22 @@ def test_fft_transmission_of_a_real_pulse_is_real(tmp_path):
     out = transmit_pulse_freq(p_in, params, 4.0, 3.0).amplitudes
     rotated = transmit_pulse_freq(Pulse(p_in.times, 1j * p_in.amplitudes), params, 4.0, 3.0).amplitudes
     assert np.array_equal(rotated, 1j * out)
+
+
+def test_time_domain_transmission_of_a_real_pulse_is_real(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "scenarios" / "engineer_step.cfg"
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "engineer_step_out.csv").read_text(encoding="utf-8").splitlines()]
+    assert rows[0] == ["t", "re", "im", "abs"]
+    assert {row[2] for row in rows[1:]} == {"0"}
+    # the maps are real, so real and imaginary parts are carried alike, kinks and refined pieces included
+    p_in = gaussian_pulse(0.2, 1.0, 512)
+    t_end = p_in.times[-1]
+    params = SystemParams(kappa1=0.32, kappa2=0.16, gamma_m=0.001)
+    ramp = TanhRampSchedule(g_max=1.0 / p_in.dt, center=0.45 * t_end, width=0.5, duration=t_end)
+    step = PiecewiseLinearSchedule((0.0, 0.4 * t_end, 0.4 * t_end + 0.01, t_end), (0, 0, 4.0, 4.0), (0, 0, 3.0, 3.0))
+    for schedule in (ramp, step):
+        out = transmit_pulse_time(p_in, params, schedule).amplitudes
+        assert np.all(out.imag == 0.0) and np.abs(out).max() > 0.1
+        rotated = transmit_pulse_time(Pulse(p_in.times, 1j * p_in.amplitudes), params, schedule).amplitudes
+        assert np.array_equal(rotated, 1j * out)
