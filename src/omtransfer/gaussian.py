@@ -30,7 +30,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import _GAUGE, _GL3_NODES, CouplingSchedule, SystemParams, _gauged_drift, _magnus6_block_exp, _mul, drift_stack
+from .model import _GAUGE, _GL3_NODES, CouplingSchedule, SystemParams, _gauged_panels, _magnus6_block_exp, _mul, _scan, drift_stack
 
 __all__ = [
     "GaussianError",
@@ -394,20 +394,18 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
     model._gauged_drift: the maps mean' = T*^-1 mean, N' = T^-1 N T^-H and
     A' = T*^-1 A T*^-T on load, and back on yield, multiply entries by units.
     A step's propagator Phi = exp(Omega) of the Van Loan generator
-    [[B', D], [0, -B'^T]], with B' = T^-1 (i M*) T and D the diffusion (Van
-    Loan, IEEE TAC 23, 1978), gives the step's real affine map E = Phi11,
-    Q = Phi12 Phi11^T (see _advance).  Each chunk makes one schedule call at
-    every step's Gauss-Legendre nodes and one model._magnus6_block_exp call
-    on the blocks X = B', Y = D and Z = -B'^T, step axis last.  Its maps
-    compose by an inclusive doubling scan (Hillis & Steele, CACM 29, 1986):
-    for d = 1, 2, 4, ... < S, every step k >= d becomes (E_k E_{k-d},
-    E_k Q_{k-d} E_k^T + Q_k), pair k - d followed by pair k.  Step k then
-    holds the map from the chunk's start, so one _advance of the start
-    state gives every sample and another the next chunk's start.  Composing
-    pairs, not the raw 6x6 products, keeps the scan bounded: their Phi22
-    overflows past kappa T ~ 1400.  The scan, the state and the samples stay
-    step-last, (3, 3, S), and are transposed to (S, 3, 3) stacks on yield.
-    N and A are symmetrized on load and at every sample.
+    [[B', D], [0, -B'^T]], with B' = T^-1 (i M*) T = R^T and D the diffusion
+    (Van Loan, IEEE TAC 23, 1978), gives the step's real affine map
+    E = Phi11, Q = Phi12 Phi11^T (see _advance).  Each chunk makes one
+    schedule call in model._gauged_panels and one model._magnus6_block_exp
+    call on its runs of equal steps, and model._scan composes the steps'
+    pairs with the action Q -> E Q E^T.  Step k then holds the map from the
+    chunk's start, so one _advance of the start state gives every sample
+    and another the next chunk's start.  Composing pairs, not the raw 6x6
+    products, keeps the scan bounded: their Phi22 overflows past
+    kappa T ~ 1400.  The state and the samples stay step-last, (3, 3, S),
+    and are transposed to (S, 3, 3) stacks on yield.  N and A are
+    symmetrized on load and at every sample.
     """
     h = t_final / n_steps
     record_every = max(1, n_steps // max(1, n_samples - 1))
@@ -419,19 +417,14 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
         ends = np.arange(k0 + 1, min(k0 + _CHUNK_STEPS, n_steps) + 1)
         # the last nodes may overshoot the schedule end by rounding; clamp
         ts = np.clip((ends - 1.0 + _GL3_NODES[:, None]) * h, 0.0, schedule.duration)
-        r = _gauged_drift(drift_stack(params.damping_diagonal, *schedule.values(ts)))  # (node, step, 3, 3)
-        b = np.ascontiguousarray(r.transpose(0, 3, 2, 1))  # B' = R^T, (node, 3, 3, step)
-        minus_bt = np.ascontiguousarray(-r.transpose(0, 2, 3, 1))
-        e, e12, _ = _magnus6_block_exp(b, diffusion, minus_bt, h)
+        r, _, run = _gauged_panels(params, schedule, ts.T, h)
+        e, e12, _ = _magnus6_block_exp(np.ascontiguousarray(r.swapaxes(1, 2)), diffusion, -r, h)
+        # Q is formed per step: a lone run's (3, 3, 1) product may round otherwise (see model._mul)
+        e, e12 = (np.take(f, run, axis=-1) for f in (e, e12))
         q = _mul(e12, e.swapaxes(0, 1))
-        d = 1
-        while d < len(ends):
-            ek = e[..., d:]
-            q[..., d:] += _mul(_mul(ek, q[..., :-d]), ek.swapaxes(0, 1))
-            e[..., d:] = _mul(ek, e[..., :-d])
-            d *= 2
+        _scan(e, q, lambda ek, qk: _mul(_mul(ek, qk), ek.swapaxes(0, 1)))
         recorded = (ends % record_every == 0) | (ends == n_steps)
-        samples = _advance(e[..., recorded], q[..., recorded], mean, normal, anomalous)
+        samples = _advance(*(np.compress(recorded, f, axis=-1) for f in (e, q)), mean, normal, anomalous)
         mean, normal, anomalous = _advance(e[..., -1:], q[..., -1:], mean, normal, anomalous)
         times = np.where(ends[recorded] == n_steps, t_final, ends[recorded] * h)
         yield (times, *(np.multiply(np.moveaxis(f, -1, 0), g.conj(), order="C") for f, g in zip(samples, _GAUGED)))
@@ -477,9 +470,10 @@ def integrate(
 
     Each chunk of steps makes one call of model._magnus6_block_exp, the
     block-triangular Magnus kernel that the time-domain pulse path shares,
-    on real generators: the steps run in the gauge where the drift is real,
-    and the samples equal, bit for bit, those of the same steps in the
-    complex frame, up to the sign of zero entries.
+    with one real generator per run of equal steps (model._gauged_panels):
+    the steps run in the gauge where the drift is real, and the samples
+    equal, bit for bit, those of the same steps in the complex frame, up to
+    the sign of zero entries.
 
     The grid is fixed: h = T / n for the least n with h <= min(T/2000, 0.01,
     0.01/max(kappa1, kappa2, gamma_m, g)), g the peak |g_i| at t = 0, T

@@ -321,13 +321,62 @@ def _gauged_drift(m: np.ndarray) -> np.ndarray:
 _GL3_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 
 
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows that differ from the row before, and each row's index among them."""
+    fresh = np.append(True, (rows[1:] != rows[:-1]).any(axis=1))
+    return fresh, np.cumsum(fresh) - 1
+
+
+def _gauged_panels(params: SystemParams, schedule: CouplingSchedule, ts: np.ndarray, h):
+    """Real R = T^-1 (-i M) T at the nodes of S Magnus steps, one panel per run of equal steps.
+
+    ts (S, 3) holds each step's node times t + _GL3_NODES * h, and h (a
+    scalar or (S,)) its length.  A step whose row (h, g1 and g2 at its
+    nodes) equals the row before joins that row's run: the steps of a run
+    share one generator, so one exponential serves them all.  Returns R
+    (3 nodes, 3, 3, runs), contiguous with the step axis last as
+    _magnus6_block_exp takes it, the runs' h (runs,) and each step's run
+    index (S,), which expands per-run results back to steps through
+    np.take(..., run, axis=-1).
+    """
+    g1, g2 = schedule.values(ts)
+    keys = np.column_stack([np.broadcast_to(h, len(ts)), g1, g2])
+    fresh, run = _runs(keys)
+    keys = keys[fresh].T
+    r = np.moveaxis(_gauged_drift(drift_stack(params.damping_diagonal, keys[1:4], keys[4:])), 1, -1)
+    return np.ascontiguousarray(r), keys[0], run
+
+
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stacked product of (n, k, S) and (k, m, S) arrays, step axis last; either S may be 1.
 
     einsum sums the k products left to right onto a zeroed output, each
-    product unfused, which tests/test_model.py pins bit for bit.
+    product unfused, which tests/test_model.py pins bit for bit.  The step
+    axis must vary fastest in memory (|stride| = itemsize), so step subsets
+    are taken with np.compress or np.take, never a[..., mask] or
+    a[..., index]: on other layouts einsum runs about 10x slower and may
+    sum in another order, as it does for S = 1 with b transposed, so a
+    column's product can round differently alone than inside a stack.
     """
     return np.einsum("ijs,jks->iks", a, b)
+
+
+def _scan(a: np.ndarray, b: np.ndarray, act) -> None:
+    """Compose the affine maps x -> a_k x + b_k of S steps in place by an inclusive doubling scan.
+
+    Hillis & Steele, CACM 29, 1986: for d = 1, 2, 4, ... < S every step
+    k >= d becomes (a_k a_{k-d}, act(a_k, b_{k-d}) + b_k), map k - d
+    followed by map k, so after log2 S rounds step k holds the map from
+    the start of step 0 to the end of step k.  act(a, b) is the action of
+    a on b (a b for vectors, a b a^T for covariances).  a (n, n, S) and
+    b (..., S) are step-last as _mul takes them.
+    """
+    d = 1
+    while d < a.shape[-1]:
+        ak = a[..., d:]
+        b[..., d:] += act(ak, b[..., :-d])
+        a[..., d:] = _mul(ak, a[..., :-d])
+        d *= 2
 
 
 def _comm(p, q):
@@ -374,7 +423,7 @@ def _magnus6_block_exp(x: np.ndarray, y: np.ndarray, z: np.ndarray, h):
     the least m <= 12 whose truncation term theta^(m+1)/(m+1)! is at most
     3e-18 at the stack's largest scaled norm theta (m = 12 at theta = 1/4).
     Both callers, gaussian._magnus_samples and transmission._piece_maps,
-    pass real float64 blocks built from _gauged_drift.
+    pass real float64 blocks built from _gauged_panels.
     """
     ox, oy, oz = _magnus6_block_omega(x, y, z, h)
     norm = np.maximum(np.abs(ox).sum(0).max(0), (np.abs(oy).sum(0) + np.abs(oz).sum(0)).max(0))

@@ -143,15 +143,16 @@ def _pulse(config: ScenarioConfig, cfgs: list[ScenarioConfig]):
             p_out = transmission.transmit_pulse_time(p_in, cfg.params, sched)
         else:
             p_out = transmission.transmit_pulse_freq(p_in, cfg.params, sched.g1, sched.g2)
-        fp = transmission.pulse_fidelity(p_in, p_out)
-        energy = transmission.pulse_energy(p_out) / transmission.pulse_energy(p_in)
         files = (("_in", transmission.pulse_to_csv(p_in)), ("_out", transmission.pulse_to_csv(p_out)))
-        scalars = [("Fp", fp), ("energy_ratio", energy)]
+        scalars = [("energy_ratio", transmission.pulse_energy(p_out) / transmission.pulse_energy(p_in))]
+        if p_out.amplitudes.any():  # a zero output (kappa1 = 0) has no shape to compare
+            scalars.insert(0, ("Fp", transmission.pulse_fidelity(p_in, p_out)))
         if not time_domain:
             res, widths = _resonance(cfg)
             scalars += [("t31_0", res.value), *widths]
-        # an undefined half-width leaves its cells blank
-        return files, [value for _, value in scalars] + [""] * (len(header) - len(scalars)), scalars
+        # an undefined pulse fidelity or half-width leaves its cells blank
+        named = {"pulse_fidelity" if key == "Fp" else key: value for key, value in scalars}
+        return files, [named.get(name, "") for name in header], scalars
 
     return header, "_summary", point
 

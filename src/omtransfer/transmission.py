@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import build_csv
-from .model import _GAUGE, _GL3_NODES, CouplingSchedule, SystemParams, _gauged_drift, _magnus6_block_exp, _mul, drift_stack
+from .model import _GAUGE, _GL3_NODES, CouplingSchedule, SystemParams, _gauged_panels, _magnus6_block_exp, _mul, _runs, _scan, drift_stack
 
 __all__ = [
     "TransmissionError",
@@ -313,29 +313,22 @@ def _piece_maps(
 
     In the gauge y = T y', T = diag(1, -i, -1) of model._gauged_drift, the
     generator [[R(t), sqrt(k1) e1 (1, 0)], [0, J]], R = T^-1 (-i M) T, is
-    real, as T^-1 e1 = e1.  It does not depend on the input, so a run of
-    panels with equal length and equal couplings at the nodes shares one
-    exponential, and a run of pieces made of the same panels one product.
-    Those exponentials are one call of the block kernel
-    model._magnus6_block_exp, with X = R(t), Y = sqrt(k1) e1 (1, 0) and
-    Z = J = [[0, 1], [0, 0]], the blocks returned step-last and assembled
-    into (P, 5, 5) panels.  One schedule call serves both panel counts; n
-    is a power of two.
+    real, as T^-1 e1 = e1.  It does not depend on the input, so the panels
+    of a run from model._gauged_panels share one exponential, and a run of
+    pieces made of the same panels one product.  Those exponentials are one
+    call of the block kernel model._magnus6_block_exp, with X = R(t),
+    Y = sqrt(k1) e1 (1, 0) and Z = J = [[0, 1], [0, 0]], assembled into
+    (P, 5, 5) panels.  One schedule call serves both panel counts; n is a
+    power of two.
     """
     counts = (n, 2 * n)
     h = np.concatenate([np.repeat(lengths / m, m) for m in counts])
     t0 = np.concatenate([(starts[:, None] + (lengths / m)[:, None] * np.arange(m)).ravel() for m in counts])
-    g1, g2 = schedule.values(t0[:, None] + h[:, None] * _GL3_NODES)
-    keys = np.column_stack([h, g1, g2])
-    fresh, inverse = _runs(keys)
-    keys = keys[fresh].T
-    r = np.moveaxis(_gauged_drift(drift_stack(params.damping_diagonal, keys[1:4], keys[4:])), 1, -1)
+    r, h_run, inverse = _gauged_panels(params, schedule, t0[:, None] + h[:, None] * _GL3_NODES, h)
     drive, slope = np.zeros((3, 2, 1)), np.zeros((3, 2, 2, 1))  # Y, and Z at the three nodes
     drive[0, 0], slope[:, 0, 1] = math.sqrt(params.kappa1), 1.0
-    panels = np.zeros((5, 5, keys.shape[1]))
-    panels[:3, :3], panels[:3, 3:], panels[3:, 3:] = _magnus6_block_exp(
-        np.ascontiguousarray(r), drive, slope, keys[0]
-    )
+    panels = np.zeros((5, 5, len(h_run)))
+    panels[:3, :3], panels[:3, 3:], panels[3:, 3:] = _magnus6_block_exp(r, drive, slope, h_run)
     panels = np.moveaxis(panels, -1, 0)
     products = []
     for index in np.split(inverse, [n * starts.size]):
@@ -346,12 +339,6 @@ def _piece_maps(
             part = part[:, 1::2] @ part[:, ::2]
         products.append(part[piece, 0])
     return products
-
-
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the rows that differ from the row before, and each row's index among them."""
-    fresh = np.append(True, (rows[1:] != rows[:-1]).any(axis=1))
-    return fresh, np.cumsum(fresh) - 1
 
 
 def transmit_pulse_time(
@@ -365,10 +352,10 @@ def transmit_pulse_time(
     generator depends on the couplings alone.  Each grid interval, split at
     the schedule's kinks, is carried by sixth-order Magnus panels; step
     doubling sets their number per piece.  Piece j then maps y' to
-    phi_j y' + c_j, and one real inclusive doubling scan over all pieces
-    gives y' at every piece's end; <a2> = T[2] y'_2.  Supports arbitrary
-    coupling schedules covering the pulse window, which is what enables
-    output pulse engineering.
+    phi_j y' + c_j, and one model._scan over all pieces gives y' at every
+    piece's end; <a2> = T[2] y'_2.  Supports arbitrary coupling schedules
+    covering the pulse window, which is what enables output pulse
+    engineering.
     """
     t_grid = p_in.times
     if abs(t_grid[0]) > 1e-12 * max(1.0, abs(t_grid[-1])):
@@ -425,12 +412,8 @@ def transmit_pulse_time(
     maps = np.ascontiguousarray(maps[:, :3].transpose(1, 2, 0))
     phi, c = maps[:, :3], maps[:, 3] * u_start + maps[:, 4] * slope[interval]
     c = np.stack([c.real, c.imag], axis=1)
-    d = 1
-    while d < starts.size:  # inclusive doubling scan: c_j becomes y' at the end of piece j
-        c[..., d:] += _mul(phi[..., d:], c[..., :-d])
-        phi[..., d:] = _mul(phi[..., d:], phi[..., :-d])
-        d *= 2
-    re, im = c[2][:, np.append(interval[1:] != interval[:-1], True)]  # each interval's last piece
+    _scan(phi, c, _mul)  # c_j becomes y' at the end of piece j
+    re, im = np.compress(np.append(interval[1:] != interval[:-1], True), c[2], axis=-1)  # each interval's last piece
     y2 = np.append(0.0, re + 1j * im)  # <a2> = T[2] y'_2, T[2] real
     return Pulse(times=t_grid.copy(), amplitudes=-math.sqrt(params.kappa2) * _GAUGE[2].real * y2)
 

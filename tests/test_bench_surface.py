@@ -105,21 +105,39 @@ def test_trajectory_integrate_evaluates_its_schedule_once_per_chunk(om):
 
 
 def test_one_magnus_kernel_serves_both_propagators(om, monkeypatch):
-    # the Gaussian-moment path and the pulse path exponentiate through the same block kernel,
-    # one call per chunk of steps; the full-matrix kernel is gone
-    kernel = om.model._magnus6_block_exp
-    assert om.gaussian._magnus6_block_exp is kernel
-    assert om.transmission._magnus6_block_exp is kernel
+    # the Gaussian-moment path and the pulse path build their panels, exponentiate and compose
+    # through the same model functions, one kernel call per chunk of steps; the full-matrix
+    # kernel is gone
+    shared = ("_gauged_panels", "_magnus6_block_exp", "_scan")
     assert not hasattr(om.model, "_magnus6_exp") and not hasattr(om.model, "_magnus6_omega")
+    seen = []
+    for caller in ("gaussian", "transmission"):
+        module = getattr(om, caller)
+        for name in shared:
+            assert getattr(module, name) is getattr(om.model, name)
+
+            def spy(*args, _key=(caller, name), _real=getattr(om.model, name)):
+                seen.append((*_key, args))
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, spy)
     workloads = _perfbench("workloads")
-    item = workloads.generate("trajectory_study", 0)[0]
-    workloads.setup(om, [item])
-    prep, t_final = item.prepared, item.spec["T"]
-    n_steps = om.gaussian._step_count(prep["params"], om.gaussian._peak_coupling(prep["schedule"], t_final), t_final)
-    calls = []
-    monkeypatch.setattr(om.gaussian, "_magnus6_block_exp", lambda *args: calls.append(1) or kernel(*args))
-    om.gaussian.integrate(prep["state0"], prep["params"], prep["schedule"], t_final, n_samples=workloads.ALL_SAMPLES)
-    assert len(calls) == math.ceil(n_steps / om.gaussian._CHUNK_STEPS)
+    items = workloads.generate("trajectory_study", 0)
+    workloads.setup(om, items)
+    for item in items:
+        prep, t_final = item.prepared, item.spec["T"]
+        n_steps = om.gaussian._step_count(prep["params"], om.gaussian._peak_coupling(prep["schedule"], t_final), t_final)
+        seen.clear()
+        om.gaussian.integrate(prep["state0"], prep["params"], prep["schedule"], t_final, n_samples=workloads.ALL_SAMPLES)
+        chunks = math.ceil(n_steps / om.gaussian._CHUNK_STEPS)
+        assert [name for _, name, _ in seen] == list(shared) * chunks
+        if item.spec["schedule"]["type"] == "constant":
+            # every step of a chunk shares one generator, so the kernel sees one column
+            assert [args[0].shape[-1] for _, name, args in seen if name == "_magnus6_block_exp"] == [1] * chunks
+    seen.clear()
+    pulse = om.transmission.gaussian_pulse(0.2, 1.0, 256)
+    om.transmission.transmit_pulse_time(pulse, om.model.SystemParams(0.32, 0.16, 1e-3), om.model.ConstantCoupling(4.0, 3.0))
+    assert {(caller, name) for caller, name, _ in seen} == {("transmission", name) for name in shared}
 
 
 def test_clean_chunks_skip_eigvalsh_and_a_faulty_chunk_calls_it_once(om, monkeypatch):

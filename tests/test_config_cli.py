@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import omtransfer
-from omtransfer import gaussian
+from omtransfer import gaussian, transmission
 from omtransfer.cli import main
 from omtransfer.config import (
     ConfigError,
@@ -293,12 +293,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_numeric_error_exit_code(tmp_path, capsys):
-    # kappa1 = 0 blocks the input channel entirely: the transmitted pulse is
-    # identically zero and the pulse-fidelity integral is undefined
+    # lossless cavities make T31(0) = 8 g1 g2 sqrt(k1 k2) / (4 g1^2 k2 + 4 g2^2 k1 + gm k1 k2)
+    # the undefined 0/0
     bad = tmp_path / "zero.cfg"
-    bad.write_text(TRANSMIT_SMALL.replace("kappa1 = 0.32", "kappa1 = 0.0"))
+    bad.write_text(TRANSMIT_SMALL.replace("kappa1 = 0.32", "kappa1 = 0.0").replace("kappa2 = 0.16", "kappa2 = 0.0"))
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
-    assert "numeric error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "resonant transmission undefined" in err
 
 
 def test_csv_line_endings(tmp_path):
@@ -444,6 +445,39 @@ def test_transmit_point_without_a_half_width_leaves_its_cells_blank(tmp_path, ca
     assert first.endswith(",,") and first.split(",")[4] != ""
     assert "" not in second.split(",")
     assert "half_width" not in capsys.readouterr().out.splitlines()[0]
+
+
+@pytest.mark.parametrize("text, kind", [(FIG2B, "transmit"), (ENGINEER_STEP, "engineer")], ids=["transmit", "engineer"])
+def test_zero_output_pulse_leaves_its_fidelity_blank(text, kind, tmp_path, capsys):
+    # kappa1 = 0 shuts a1 off, so the first point's output pulse is exactly zero: it has
+    # no shape to compare, while its energy ratio (0) and T31(0) stand
+    path = tmp_path / "k1.cfg"
+    path.write_text(_swept(text, "kappa1, kappa2", "0.0:0.27, 0.32:0.16"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    names = [f"{kind}_{i}_{part}.csv" for i in ("001", "002") for part in ("in", "out")]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(names + [f"{kind}_summary.csv"])
+    header, first, second = (tmp_path / "out" / f"{kind}_summary.csv").read_text(encoding="utf-8").splitlines()
+    assert header.split(",")[2:4] == ["pulse_fidelity", "energy_ratio"]
+    assert first.split(",")[:4] == ["0", "0.27", "", "0"]
+    assert "" not in second.split(",")
+    zero, matched = capsys.readouterr().out.splitlines()[:2]
+    assert "Fp=" not in zero and "energy_ratio=0" in zero
+    assert "Fp=" in matched
+    if kind == "transmit":
+        assert first.split(",")[4] == "0" and "t31_0=0" in zero
+
+
+@pytest.mark.parametrize("text", [FIG2B, ENGINEER_STEP], ids=["transmit", "engineer"])
+def test_cauchy_schwarz_violation_still_fails_the_run(text, tmp_path, capsys, monkeypatch):
+    def broken(p_in, p_out):
+        raise transmission.TransmissionError("pulse fidelity 1.5 exceeds the Cauchy-Schwarz bound")
+
+    monkeypatch.setattr(transmission, "pulse_fidelity", broken)
+    path = tmp_path / "run.cfg"
+    path.write_text(_swept(text, "kappa1, kappa2", "0.32:0.16"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "exceeds the Cauchy-Schwarz bound" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_run_prints_no_warning_twice(tmp_path):

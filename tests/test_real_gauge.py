@@ -96,13 +96,27 @@ def test_gauged_magnus_samples_equal_the_complex_frame(kind, params):
                 assert np.array_equal(field, ref)
 
 
+def test_equal_steps_share_one_exponential_bit_for_bit():
+    # a constant coupling makes every step of a chunk one run of model._gauged_panels, and its
+    # one exponential is expanded back to the steps before Q = Phi12 Phi11^T is formed: forming
+    # Q on the run's lone column rounds differently here (a perfbench trajectory_study case)
+    params = SystemParams(0.00452852, 0.00946068, 0.000230223, 2.0)
+    schedule = ConstantCoupling(1.0, -0.755488, duration=100.0)
+    state = gaussian.embed_initial(gaussian.make_squeezed_coherent(1.71756 + 1.02469j, 0.2, 1.33335), 0.1)
+    n_steps = gaussian._step_count(params, gaussian._peak_coupling(schedule, 100.0), 100.0)
+    args = (state.mean, state.normal, state.anomalous, params, schedule, 100.0, n_steps, 10**9)
+    for chunk, frozen in zip(gaussian._magnus_samples(*args), _magnus_samples_complex(*args), strict=True):
+        for field, ref in zip(chunk, frozen):
+            assert np.array_equal(field, ref)  # up to the sign of zero entries
+
+
 def _piece_maps_complex(params, schedule, starts, lengths, n):
     counts = (n, 2 * n)
     h = np.concatenate([np.repeat(lengths / m, m) for m in counts])
     t0 = np.concatenate([(starts[:, None] + (lengths / m)[:, None] * np.arange(m)).ravel() for m in counts])
     g1, g2 = schedule.values(t0[:, None] + h[:, None] * _GL3_NODES)
     keys = np.column_stack([h, g1, g2])
-    fresh, inverse = transmission._runs(keys)
+    fresh, inverse = model._runs(keys)
     keys = keys[fresh].T
     m = np.moveaxis(drift_stack(params.damping_diagonal, keys[1:4], keys[4:]), 1, -1)
     drive, slope = np.zeros((3, 2, 1)), np.zeros((3, 2, 2, 1))
@@ -115,7 +129,7 @@ def _piece_maps_complex(params, schedule, starts, lengths, n):
     products = []
     for index in np.split(inverse, [n * starts.size]):
         index = index.reshape(starts.size, -1)
-        fresh, piece = transmission._runs(index)
+        fresh, piece = model._runs(index)
         part = panels[index[fresh]]
         while part.shape[1] > 1:
             part = part[:, 1::2] @ part[:, ::2]
@@ -211,6 +225,27 @@ def test_magnus_kernel_takes_only_real_generators(monkeypatch, tmp_path):
     assert main(["run", str(config), "--out", str(tmp_path)]) == 0
     assert 0 < from_integrate < len(seen)
     assert set(seen) == {(np.dtype(np.float64),) * 3}
+
+
+def test_stacked_products_get_the_step_axis_fastest(monkeypatch, tmp_path):
+    # model._mul's einsum is about 10x slower, and may round differently, when the step
+    # axis of an operand does not vary fastest, as on a[..., mask] or a[..., index]
+    seen, mul = [], model._mul
+
+    def spy(a, b):
+        seen.extend(x for x in (a, b) if x.shape[-1] > 1)
+        return mul(a, b)
+
+    # the callers look _mul up by name: model's kernel and scan, gaussian's _advance, transmission's scan
+    for module in (model, gaussian, transmission):
+        monkeypatch.setattr(module, "_mul", spy)
+    state = gaussian.embed_initial(gaussian.make_squeezed_coherent(0.5 + 0.5j, 0.3, 0.4), 0.5)
+    gaussian.integrate(state, PARAMS[0], SCHEDULES["trig"], 30.0, n_samples=57)
+    from_integrate = len(seen)
+    config = Path(__file__).resolve().parents[1] / "scenarios" / "engineer_step.cfg"
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 0
+    assert 0 < from_integrate < len(seen)
+    assert [x.strides[-1] for x in seen if abs(x.strides[-1]) != x.itemsize] == []
 
 
 def _random_drift(rng):
