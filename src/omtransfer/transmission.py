@@ -235,31 +235,22 @@ def half_width(params: SystemParams, g1: float, g2: float) -> tuple[float, float
     return analytic, 0.5 * (lo + hi)
 
 
-def _common_grid(p1: Pulse, p2: Pulse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if p1.times.size == p2.times.size and np.allclose(
-        p1.times, p2.times, rtol=0.0, atol=1e-12 * max(1.0, abs(p1.times[-1]))
-    ):
-        return p1.times, p1.amplitudes, p2.amplitudes
-    dt = min(p1.dt, p2.dt)
-    t0 = min(p1.times[0], p2.times[0])
-    t1 = max(p1.times[-1], p2.times[-1])
-    grid = np.arange(t0, t1 + 0.5 * dt, dt)
-
-    def resample(p: Pulse) -> np.ndarray:
-        re = np.interp(grid, p.times, p.amplitudes.real, left=0.0, right=0.0)
-        im = np.interp(grid, p.times, p.amplitudes.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    return grid, resample(p1), resample(p2)
-
-
 def pulse_energy(p: Pulse) -> float:
     return float(np.trapezoid(np.abs(p.amplitudes) ** 2, p.times))
 
 
 def pulse_fidelity(p_in: Pulse, p_out: Pulse) -> float:
-    """Normalized modulus-squared overlap of the two mean pulses (trapezoid rule)."""
-    grid, a, b = _common_grid(p_in, p_out)
+    """Normalized modulus-squared overlap of the two mean pulses (trapezoid rule).
+
+    The pulses must share their start, to 1e-12 of the span, and their
+    spacing, to the 1e-9 relative that Pulse allows; the shorter one is
+    zero-extended onto the longer one's times.  Other grids raise.
+    """
+    grid = max(p_in, p_out, key=lambda p: p.times.size).times
+    shifted = abs(p_in.times[0] - p_out.times[0]) > 1e-12 * (grid[-1] - grid[0])
+    if shifted or abs(p_in.dt - p_out.dt) > 1e-9 * max(p_in.dt, p_out.dt):
+        raise TransmissionError("pulse fidelity needs two pulses with the same start and spacing")
+    a, b = (np.pad(p.amplitudes, (0, grid.size - p.times.size)) for p in (p_in, p_out))
     norm_a = np.trapezoid(np.abs(a) ** 2, grid)
     norm_b = np.trapezoid(np.abs(b) ** 2, grid)
     if norm_a <= 0.0 or norm_b <= 0.0:

@@ -11,6 +11,16 @@ match exactly, numbers to 1e-11 relative or 1e-15 absolute: one flip in the
 12th printed digit, plus cancellation in the small T(w) entries.  The
 bundled engineer_step CSVs, written while the pulse path still exponentiated
 full 5x5 Magnus generators, are held to the same tolerances.
+
+Four columns pin numerical error rather than physics, and are held to
+their own relative tolerance (COLUMN_RTOL): F_numeric, F_reference and
+delta_F carry the moment integrator's truncation error, and
+half_width_numeric the bisection's.  Each tolerance is the column's
+accuracy bound against an independent reference plus the golden value's
+measured distance to that reference, print rounding included, rounded up.
+The references are the mpmath solve in tests/reference/ (bounded in
+tests/test_rk4_kernel.py) and the companion-matrix root of the half-width
+polynomial (bounded in tests/test_transmission.py).
 """
 
 from pathlib import Path
@@ -24,6 +34,13 @@ ROOT = Path(__file__).resolve().parent
 SCENARIO_DIR = ROOT.parent / "scenarios"
 GOLDEN_DIR = ROOT / "golden"
 
+COLUMN_RTOL = {
+    "F_numeric": 2e-12,  # bound 1e-12 + measured 9.2e-13 (fig1c_squeezed)
+    "F_reference": 2e-12,  # bound 1e-12 + measured 8.2e-13 (fig1c)
+    "delta_F": 3e-11,  # bound 1.5e-11 + measured 1.1e-11 (fig1c row 0)
+    "half_width_numeric": 5e-10,  # bound 2.5e-10 + measured 1.63e-10 (fig2b, fig2cd)
+}
+
 
 @pytest.mark.parametrize("name", ["fig1b", "fig1b_squeezed", "fig1c", "fig1c_squeezed"])
 def test_convert_scenario_matches_golden(name, tmp_path):
@@ -32,14 +49,15 @@ def test_convert_scenario_matches_golden(name, tmp_path):
     want = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8").splitlines()
     assert got[0] == want[0]
     assert len(got) == len(want)
+    header = want[0].split(",")
     for got_line, want_line in zip(got[1:], want[1:]):
         got_cells, want_cells = got_line.split(","), want_line.split(",")
         assert len(got_cells) == len(want_cells)
-        for g, w in zip(got_cells, want_cells):
+        for column, g, w in zip(header, got_cells, want_cells):
             if w == "":
                 assert g == ""
             else:
-                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)
+                assert float(g) == pytest.approx(float(w), rel=COLUMN_RTOL.get(column, 1e-12), abs=0.0), column
 
 
 FIG2_FILES = {
@@ -63,4 +81,6 @@ def test_fig2_scenario_matches_golden(name, tmp_path):
         assert len(got) == len(want), file
         got_cells = np.array([line.split(",") for line in got[1:]], dtype=float)
         want_cells = np.array([line.split(",") for line in want[1:]], dtype=float)
-        np.testing.assert_allclose(got_cells, want_cells, rtol=1e-11, atol=1e-15, err_msg=file)
+        for column, g, w in zip(want[0].split(","), got_cells.T, want_cells.T):
+            rtol = COLUMN_RTOL.get(column, 1e-11)
+            np.testing.assert_allclose(g, w, rtol=rtol, atol=1e-15, err_msg=f"{file} {column}")

@@ -4,7 +4,9 @@ tests/golden/<name>_stdout.txt holds the stdout of the eight scenarios whose
 CSVs tests/test_golden.py pins, recorded before every scenario kind ran
 through one point loop (engineer_step's before its pulse path exponentiated
 block-triangular generators).  Labels, keys and key order must match exactly;
-numbers match at the tolerance of that scenario's CSV golden.
+numbers match at the tolerance of that scenario's CSV golden, and the keys
+that print a column test_golden.COLUMN_RTOL re-anchors at that column's
+tolerance.
 """
 
 from pathlib import Path
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from omtransfer.cli import main
+from test_golden import COLUMN_RTOL
 
 ROOT = Path(__file__).resolve().parent
 SCENARIO_DIR = ROOT.parent / "scenarios"
@@ -23,6 +26,8 @@ TOLERANCE = {
     **dict.fromkeys(["fig1b", "fig1b_squeezed", "fig1c", "fig1c_squeezed"], (1e-12, 0.0)),
     **dict.fromkeys(["fig2a", "fig2b", "fig2cd", "engineer_step"], (1e-11, 1e-15)),
 }
+# relative tolerance of the keys whose CSV column holds numerical error
+KEY_RTOL = {"F": COLUMN_RTOL["F_numeric"], **COLUMN_RTOL}
 
 
 def _parse(line):
@@ -42,4 +47,5 @@ def test_summary_matches_golden(name, tmp_path, capsys):
         got_label, got_keys, got_values = _parse(got_line)
         want_label, want_keys, want_values = _parse(want_line)
         assert (got_label, got_keys) == (want_label, want_keys)
-        np.testing.assert_allclose(got_values, want_values, rtol=rtol, atol=atol, err_msg=got_line)
+        for key, g, w in zip(got_keys, got_values, want_values):
+            np.testing.assert_allclose(g, w, rtol=KEY_RTOL.get(key, rtol), atol=atol, err_msg=f"{key} in {got_line}")

@@ -6,27 +6,19 @@ of gaussian._rk4_samples must be byte-equal to it, signed zeros included,
 and N and A must stay exactly Hermitian and symmetric: the folded products
 are bitwise only under that precondition.
 
-The accuracy oracle integrates the bundled Fig. 1 sweeps at T/16000 and
-bounds how far the program's F_numeric and delta_F are from it.
+The accuracy oracle bounds how far the program's F_numeric and delta_F of
+the bundled Fig. 1 sweeps are from the extended-precision reference that
+tests/reference/make_fig1_reference.py computes with mpmath.
 """
 
-import dataclasses
-import functools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fig1_reference import CONFIGS, DELTA_F_CONFIGS, column, program_fidelities
 from omtransfer import gaussian
-from omtransfer.config import apply_sweep_point, parse_config
-from omtransfer.gaussian import (
-    ThreeModeGaussianState,
-    embed_initial,
-    gaussian_fidelity,
-    make_squeezed_coherent,
-    reduce_to_mode,
-)
+from omtransfer.gaussian import embed_initial, make_squeezed_coherent
 from omtransfer.model import (
     ConstantCoupling,
     PiecewiseLinearSchedule,
@@ -34,9 +26,6 @@ from omtransfer.model import (
     TanhRampSchedule,
     TrigSchedule,
 )
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
 
 # -- frozen reference kernel ---------------------------------------------------
 
@@ -157,58 +146,24 @@ def test_squeezed_vacuum_with_diffusion_is_bitwise_the_reference():
 
 # -- accuracy oracle -----------------------------------------------------------
 
-def _fidelities(name: str, n_steps: int | None = None, serial: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """F_numeric and delta_F of a bundled delta_f sweep, as the program computes them.
-
-    With n_steps the sweep is integrated by the same kernel at that fixed step count;
-    with serial every row is integrated on its own by gaussian.integrate.
-    """
-    config = parse_config((SCENARIO_DIR / f"{name}.cfg").read_text(encoding="utf-8"))
-    schedule = config.schedule
-    cfgs = [apply_sweep_point(config, idx) for idx in range(config.n_runs)]
-    initials = [make_squeezed_coherent(c.alpha, c.r, c.phi) for c in cfgs]
-    states0 = [embed_initial(s, c.mech_occupation) for s, c in zip(initials, cfgs)] * 2
-    params = [c.params for c in cfgs]
-    params += [dataclasses.replace(p, gamma_m=0.0, n_th=0.0) for p in params]
-    if serial:
-        finals = [gaussian.integrate(st, p, schedule, schedule.duration).final for st, p in zip(states0, params)]
-    elif n_steps is None:
-        finals = gaussian.integrate_batch(states0, params, schedule, schedule.duration)
-    else:
-        stacks = [np.array([getattr(st, f) for st in states0]) for f in ("mean", "normal", "anomalous")]
-        *_, (_, mean, normal, anomalous) = gaussian._rk4_samples(
-            *stacks, params, schedule, schedule.duration, n_steps, 2
-        )
-        finals = [ThreeModeGaussianState(mean[i], normal[i], anomalous[i]) for i in range(len(params))]
-    fid = np.array([
-        gaussian_fidelity(initials[i % len(cfgs)], reduce_to_mode(st, 3)) for i, st in enumerate(finals)
-    ])
-    f_num, f_quiet = np.split(fid, 2)
-    return f_num, np.abs(f_num - f_quiet)
+# measured against the mpmath reference: F within 4.9e-13 (fig1b_squeezed) and delta_F within
+# 8.9e-12 (fig1c_squeezed) relative; a 2x and a 1.7x margin
+F_RTOL, DELTA_F_RTOL = 1e-12, 1.5e-11
 
 
-@functools.lru_cache(maxsize=None)
-def _converged(name: str) -> tuple[np.ndarray, np.ndarray]:
-    return _fidelities(name, 16000)
-
-
-# measured: F within 5e-13 and delta_F within 1.5e-11 of the 16,000-step run
-F_RTOL, DELTA_F_RTOL = 1e-12, 3e-11
-
-
-@pytest.mark.parametrize("name", ["fig1c", "fig1c_squeezed"])
+@pytest.mark.parametrize("name", CONFIGS)
 def test_fig1_fidelities_are_close_to_a_converged_reference(name):
-    f_num, delta_f = _fidelities(name)
-    f_ref, delta_ref = _converged(name)
-    np.testing.assert_allclose(f_num, f_ref, rtol=F_RTOL, atol=0.0)
-    np.testing.assert_allclose(delta_f, delta_ref, rtol=DELTA_F_RTOL, atol=0.0)
+    f_num, delta_f = program_fidelities(name)
+    np.testing.assert_allclose(f_num, column(name, "F"), rtol=F_RTOL, atol=0.0)
+    if name in DELTA_F_CONFIGS:
+        np.testing.assert_allclose(delta_f, column(name, "delta_F"), rtol=DELTA_F_RTOL, atol=0.0)
 
 
 def test_doubled_diffusion_fails_the_accuracy_oracle(monkeypatch):
-    f_ref, delta_ref = _converged("fig1c")  # before the defect is patched in
+    f_ref, delta_ref = column("fig1c", "F"), column("fig1c", "delta_F")
     diffusion = gaussian._diffusion
     monkeypatch.setattr(gaussian, "_diffusion", lambda params_seq: 2.0 * diffusion(params_seq))
-    f_num, delta_f = _fidelities("fig1c")
+    f_num, delta_f = program_fidelities.__wrapped__("fig1c")
     with pytest.raises(AssertionError):
         np.testing.assert_allclose(f_num, f_ref, rtol=F_RTOL, atol=0.0)
     with pytest.raises(AssertionError):
@@ -217,11 +172,11 @@ def test_doubled_diffusion_fails_the_accuracy_oracle(monkeypatch):
     assert np.abs(delta_f / delta_ref - 2.0).max() < 0.01
 
 
-# measured on fig1c: F within 2.9e-15 and delta_F within 4.4e-12 of the 16,000-step run
-# (fig1c_squeezed: 5.3e-15 and 8.4e-12); the batched RK4 above is 3.0e-13 and 1.1e-11 away
+# measured against the mpmath reference: gaussian.integrate's F within 1.3e-15 and delta_F within
+# 1.2e-12 relative on fig1c, 2.5e-15 and 2.4e-12 on fig1c_squeezed; the batched RK4 above is
+# 4.8e-13 and 8.9e-12 away
 def test_integrate_fig1c_rows_are_close_to_the_converged_reference():
-    for name in ("fig1c", "fig1c_squeezed"):
-        f_num, delta_f = _fidelities(name, serial=True)
-        f_ref, delta_ref = _converged(name)
-        np.testing.assert_allclose(f_num, f_ref, rtol=1e-13, atol=0.0, err_msg=name)
-        np.testing.assert_allclose(delta_f, delta_ref, rtol=1e-11, atol=0.0, err_msg=name)
+    for name in DELTA_F_CONFIGS:
+        f_num, delta_f = program_fidelities(name, serial=True)
+        np.testing.assert_allclose(f_num, column(name, "F"), rtol=1e-14, atol=0.0, err_msg=name)
+        np.testing.assert_allclose(delta_f, column(name, "delta_F"), rtol=5e-12, atol=0.0, err_msg=name)

@@ -147,6 +147,36 @@ def test_half_width_numeric_vs_analytic(pair):
     assert abs(analytic - numeric) / numeric < 0.05
 
 
+def half_width_root(params, g1, g2):
+    """The smallest root in (0, g0/2] of |det(w I - M)|^2 - 4 |det M|^2, from the companion matrix.
+
+    T31(w) is proportional to 1 / det(w I - M), so there |T31(w)| = |T31(0)| / 2;
+    the left side is a real polynomial of degree 6 in w.
+    """
+    m = np.array([[-0.5j * params.kappa1, g1, 0.0], [g1, -0.5j * params.gamma_m, g2], [0.0, g2, -0.5j * params.kappa2]])
+    det = np.poly(m)  # coefficients of det(w I - M), from the eigenvalues of M
+    poly = np.polymul(det, det.conj()).real
+    poly[-1] -= 4.0 * abs(det[-1]) ** 2
+    roots = np.roots(poly)  # eigenvalues of the companion matrix
+    return roots.real[(roots.imag == 0.0) & (roots.real > 0.0) & (roots.real <= math.hypot(g1, g2) / 2)].min()
+
+
+def test_half_width_root_of_the_fig2b_point():
+    root = half_width_root(SystemParams(kappa1=0.32, kappa2=0.16, gamma_m=0.001), 4.0, 3.0)
+    assert root == pytest.approx(0.188816855521, abs=5e-13)
+
+
+# measured: the bisection is within 1.65e-10 relative of the root at these, the bundled fig2 points
+HALF_WIDTH_RTOL = 2.5e-10
+
+
+@pytest.mark.parametrize("kappa", [(0.48, 0.27), (0.32, 0.18), (0.16, 0.09), (0.096, 0.16), (0.32, 0.16)])
+def test_half_width_is_the_polynomial_root(kappa):
+    params = SystemParams(kappa1=kappa[0], kappa2=kappa[1], gamma_m=0.001)
+    numeric = half_width(params, 4.0, 3.0)[1]
+    assert numeric == pytest.approx(half_width_root(params, 4.0, 3.0), rel=HALF_WIDTH_RTOL, abs=0.0)
+
+
 def test_half_width_requires_damping():
     with pytest.raises(TransmissionError):
         half_width(SystemParams(kappa1=0.0, kappa2=0.1), 4.0, 3.0)
@@ -198,6 +228,22 @@ def test_pulse_fidelity_zero_norm_error():
     zero = Pulse(times=p.times.copy(), amplitudes=np.zeros_like(p.amplitudes))
     with pytest.raises(TransmissionError):
         pulse_fidelity(p, zero)
+
+
+def test_pulse_fidelity_zero_extends_the_shorter_pulse():
+    p = gaussian_pulse(0.2, n_points=256)
+    delayed = np.roll(np.pad(p.amplitudes, (0, 768)), 100)
+    longer = Pulse(times=p.times[0] + p.dt * np.arange(1024), amplitudes=delayed)
+    padded = Pulse(times=longer.times, amplitudes=np.pad(p.amplitudes, (0, 768)))
+    assert pulse_fidelity(p, longer) == pulse_fidelity(padded, longer) == pulse_fidelity(longer, p)
+    assert pulse_fidelity(p, longer) < 0.5
+
+
+def test_pulse_fidelity_rejects_pulses_on_different_grids():
+    p = gaussian_pulse(0.2, n_points=256)
+    for times in (2.0 * p.times, p.times + 0.5 * p.dt, p.times[0] + p.dt * (1 + 1e-6) * np.arange(256)):
+        with pytest.raises(TransmissionError, match="same start and spacing"):
+            pulse_fidelity(p, Pulse(times=times, amplitudes=p.amplitudes))
 
 
 def test_transmit_freq_zero_damping_blocks_input():
