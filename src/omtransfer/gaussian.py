@@ -26,11 +26,10 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .model import _GAUGE, _GL3_NODES, CouplingSchedule, SystemParams, _gauged_panels, _magnus6_block_exp, _mul, _scan, drift_stack
+from .model import _GAUGE, _GL3_NODES, CouplingSchedule, SystemParams, _gauged_panels, _magnus6_block_exp, _mul, _scan
 
 __all__ = [
     "GaussianError",
@@ -277,26 +276,6 @@ def embed_initial(
     return ThreeModeGaussianState(mean=mean, normal=normal, anomalous=anomalous)
 
 
-def _views(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P, 3, 1) mean, (P, 3, 3) N and (P, 3, 3) A views of a (P, 21) [mean | N | A] buffer."""
-    rows = len(buf)
-    return buf[:, :3, None], buf[:, 3:12].reshape(rows, 3, 3), buf[:, 12:].reshape(rows, 3, 3)
-
-
-def _stage_derivative(g, h, diffusion, src, dst, work) -> None:
-    """d mean = G mean, dN = H N + (H N)^+ + D, dA = G A + (G A)^T from src into dst views.
-
-    With G = -i M and H = i M*, these are bitwise -i M mean, i M* N - i N M + D
-    and -i (M A + A M) when N is exactly Hermitian and A exactly symmetric.
-    work is two (P, 3, 3) scratch stacks.
-    """
-    (x, n, a), (dx, dn, da), (p, q) = src, dst, work
-    np.matmul(g, x, out=dx)
-    np.conjugate(np.matmul(h, n, out=p), out=q)
-    np.add(np.add(p, q.swapaxes(1, 2), out=dn), diffusion, out=dn)
-    np.add(np.matmul(g, a, out=p), p.swapaxes(1, 2), out=da)
-
-
 def _diffusion(params_seq) -> np.ndarray:
     diffusion = np.zeros((len(params_seq), 3, 3), dtype=complex)
     diffusion[:, 1, 1] = [p.gamma_m * p.n_th for p in params_seq]
@@ -313,60 +292,10 @@ def _step_count(params: SystemParams, g_max: float, t_final: float) -> int:
     rate = max(params.kappa1, params.kappa2, params.gamma_m, g_max)
     h = min(t_final / 2000.0, 0.01)
     if rate > 0:
-        # keeps the RK4 defect (rate*h)^4 below the 1e-8 physicality
-        # tolerance for pure states on long runs
         h = min(h, 0.01 / rate)
     return max(1, math.ceil(t_final / h))
 
 
-def _rk4_samples(mean, normal, anomalous, params_seq, schedule, t_final, n_steps, n_samples):
-    """Fixed-step RK4 on (P, 3) means and (P, 3, 3) N and A stacks.
-
-    Yields (t, mean, N, A) at every recorded sample time, t_final last;
-    yielded arrays are never modified afterwards.  N and A are symmetrized
-    once on load, and the stage products keep them exactly Hermitian and
-    symmetric.  Stages write into preallocated (P, 21) buffers, and G = -i M,
-    H = i M* are built for _CHUNK_DRIFTS (step, stage, row) triples at once,
-    from one schedule call per chunk.
-    """
-    rows = len(params_seq)
-    diffusion = _diffusion(params_seq)
-    h = t_final / n_steps
-    # 0-d complex factors give the products of the float ones at less call overhead
-    half, step, two, sixth = (np.array(c + 0j) for c in (0.5 * h, h, 2.0, h / 6.0))
-    record_every = max(1, n_steps // max(1, n_samples - 1))
-    chunk = max(1, _CHUNK_DRIFTS // (3 * rows))
-    state, new, stage, acc, deriv = np.empty((5, rows, 21), dtype=complex)
-    normal = 0.5 * (normal + normal.conj().swapaxes(1, 2))
-    anomalous = 0.5 * (anomalous + anomalous.swapaxes(1, 2))
-    state[:] = np.concatenate([mean, normal.reshape(rows, 9), anomalous.reshape(rows, 9)], axis=1)
-    state_v, new_v, stage_v, acc_v, deriv_v = map(_views, (state, new, stage, acc, deriv))
-    work = np.empty((2, rows, 3, 3), dtype=complex)
-    add, mul = np.add, np.multiply
-    for k0 in range(0, n_steps, chunk):
-        steps = range(k0, min(k0 + chunk, n_steps))
-        # stage times k h + (0, h/2, h) may overshoot the schedule end by rounding; clamp
-        ts = np.clip(np.array(steps)[:, None] * h + [0.0, 0.5 * h, h], 0.0, schedule.duration)
-        g1, g2 = np.expand_dims(schedule.values(ts), -1)
-        m = drift_stack([par.damping_diagonal for par in params_seq], g1, g2)  # (steps, 3, P, 3, 3)
-        for k, g, hc in zip(steps, -1j * m, 1j * m.conj()):  # G and H at k h + (0, h/2, h)
-            _stage_derivative(g[0], hc[0], diffusion, state_v, acc_v, work)  # k1, summed in acc
-            add(state, mul(half, acc, out=stage), out=stage)
-            for c in (half, step):  # k2 and k3, at the half step
-                _stage_derivative(g[1], hc[1], diffusion, stage_v, deriv_v, work)
-                add(state, mul(c, deriv, out=stage), out=stage)
-                add(acc, mul(two, deriv, out=deriv), out=acc)
-            _stage_derivative(g[2], hc[2], diffusion, stage_v, deriv_v, work)
-            add(state, mul(sixth, add(acc, deriv, out=acc), out=acc), out=new)
-            state, new, state_v, new_v = new, state, new_v, state_v
-            if (k + 1) % record_every == 0 or k + 1 == n_steps:
-                out = state.copy()
-                t = t_final if k + 1 == n_steps else (k + 1) * h
-                yield t, out[:, :3], out[:, 3:12].reshape(rows, 3, 3), out[:, 12:].reshape(rows, 3, 3)
-
-
-_CHUNK_DRIFTS = 1024
-_CHUNK_STATES = 256
 _CHUNK_STEPS = 1024
 # elementwise factors taking mean, N and A into the gauge of _magnus_samples; their conjugates take them back
 _GAUGED = (_GAUGE, _GAUGE.conj()[:, None] * _GAUGE, _GAUGE[:, None] * _GAUGE)
@@ -385,10 +314,11 @@ def _advance(e, q, mean, normal, anomalous):
     return _mul(e, mean[:, None])[:, 0], 0.5 * (n + n.conj().swapaxes(0, 1)), 0.5 * (a + a.swapaxes(0, 1))
 
 
-def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps, n_samples):
-    """Magnus-6 Van Loan steps on one (3,) mean and (3, 3) N and A, on the RK4 kernel's grid.
+def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps, n_samples, start=0.0):
+    """n_steps equal Magnus-6 Van Loan steps from start to t_final on one (3,) mean and (3, 3) N and A.
 
-    Yields (times, mean, N, A) stacks of the recorded samples once per chunk
+    Yields (times, mean, N, A) stacks of the recorded samples, every
+    max(1, n_steps // (n_samples - 1))-th step and the last, once per chunk
     of _CHUNK_STEPS steps, t_final last; yielded arrays are never modified
     afterwards.  The steps run in real arithmetic, in the gauge v = T v' of
     model._gauged_drift: the maps mean' = T*^-1 mean, N' = T^-1 N T^-H and
@@ -407,7 +337,7 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
     and are transposed to (S, 3, 3) stacks on yield.  N and A are
     symmetrized on load and at every sample.
     """
-    h = t_final / n_steps
+    h = (t_final - start) / n_steps
     record_every = max(1, n_steps // max(1, n_samples - 1))
     diffusion = _diffusion([params])[0].real[..., None]
     mean = (_GAUGED[0] * mean)[:, None]
@@ -416,7 +346,7 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
     for k0 in range(0, n_steps, _CHUNK_STEPS):
         ends = np.arange(k0 + 1, min(k0 + _CHUNK_STEPS, n_steps) + 1)
         # the last nodes may overshoot the schedule end by rounding; clamp
-        ts = np.clip((ends - 1.0 + _GL3_NODES[:, None]) * h, 0.0, schedule.duration)
+        ts = np.clip(start + (ends - 1.0 + _GL3_NODES[:, None]) * h, 0.0, schedule.duration)
         r, _, run = _gauged_panels(params, schedule, ts.T, h)
         e, e12, _ = _magnus6_block_exp(np.ascontiguousarray(r.swapaxes(1, 2)), diffusion, -r, h)
         # Q is formed per step: a lone run's (3, 3, 1) product may round otherwise (see model._mul)
@@ -426,7 +356,7 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
         recorded = (ends % record_every == 0) | (ends == n_steps)
         samples = _advance(*(np.compress(recorded, f, axis=-1) for f in (e, q)), mean, normal, anomalous)
         mean, normal, anomalous = _advance(e[..., -1:], q[..., -1:], mean, normal, anomalous)
-        times = np.where(ends[recorded] == n_steps, t_final, ends[recorded] * h)
+        times = np.where(ends[recorded] == n_steps, t_final, start + ends[recorded] * h)
         yield (times, *(np.multiply(np.moveaxis(f, -1, 0), g.conj(), order="C") for f, g in zip(samples, _GAUGED)))
 
 
@@ -443,20 +373,6 @@ def _check(times, mean, normal, anomalous, rows=None) -> None:
         if rows is not None:
             where += f", row {rows[index % width]}"
         raise type(exc)(f"physicality violation at {where}: {exc}")
-
-
-def _checked(samples, rows: list[int]):
-    """Pass the RK4 kernel's samples on once they are validated.
-
-    One _first_fault call validates a chunk of about _CHUNK_STATES states
-    (samples times rows).  An error names the time of the first faulty
-    sample and its input row.
-    """
-    samples = iter(samples)
-    while chunk := list(islice(samples, max(1, _CHUNK_STATES // len(rows)))):
-        stacks = (np.concatenate([sample[f] for sample in chunk]) for f in (1, 2, 3))
-        _check([sample[0] for sample in chunk], *stacks, rows)
-        yield from chunk
 
 
 def integrate(
@@ -487,9 +403,7 @@ def integrate(
     holds a state near or past the uncertainty bound (see _first_fault); a
     failure names the time of the first faulty sample.  The samples are
     returned as stacks, concatenated once: Trajectory.states builds each
-    ThreeModeGaussianState only when it is read.  integrate_batch still runs
-    the RK4 kernel, so its final states differ from these by the RK4's
-    truncation error.
+    ThreeModeGaussianState only when it is read.
     """
     if t_final <= 0:
         raise GaussianError("t_final must be positive")
@@ -505,42 +419,70 @@ def integrate(
     return Trajectory(*(np.concatenate(field) for field in zip(*chunks)))
 
 
+def _final_moments(state, params, schedule, t_final, n_steps, row):
+    """(3,) mean and (3, 3) N and A at t_final after about n_steps Magnus steps, every sample validated.
+
+    Each piece between the schedule's kinks runs on its own with its share
+    of n_steps, so no step straddles a kink, and records about 200 samples;
+    a smooth schedule is one piece of n_steps.  A faulty sample raises,
+    naming its time and the row.
+    """
+    edges = np.array([0.0, *schedule.kinks(0.0, t_final), t_final])
+    moments = state.mean, state.normal, state.anomalous
+    for start, end, steps in zip(edges, edges[1:], np.ceil(np.diff(edges) / t_final * n_steps)):
+        for chunk in _magnus_samples(*moments, params, schedule, end, int(steps), 201, start):
+            _check(*chunk, [row])
+        moments = tuple(f[-1].copy() for f in chunk[1:])  # a view would keep the chunk's stacks alive
+    return moments
+
+
+_FIRST_STEPS = 200
+_MAX_STEPS = 2**16
+
+
+def _settled_moments(state, params, schedule, t_final, row):
+    """Final moments at the first step count 2S = 400, 800, ... within 1e-13 of their scale of S's."""
+    coarse, n_steps = _final_moments(state, params, schedule, t_final, _FIRST_STEPS, row), 2 * _FIRST_STEPS
+    while n_steps <= _MAX_STEPS:
+        fine = _final_moments(state, params, schedule, t_final, n_steps, row)
+        scale = max(1.0, *(np.abs(f).max() for f in fine))
+        if max(np.abs(f - c).max() for f, c in zip(fine, coarse)) <= 1e-13 * scale:
+            return fine
+        coarse, n_steps = fine, 2 * n_steps
+    raise GaussianError(
+        f"row {row}: the final moments did not settle to 1e-13 of their scale within {_MAX_STEPS} steps"
+    )
+
+
 def integrate_batch(
     states0: list[ThreeModeGaussianState],
     params_seq: list[SystemParams],
     schedule: CouplingSchedule,
     t_final: float,
 ) -> list[ThreeModeGaussianState]:
-    """Final states of the moment equations from states0[i] under params_seq[i], on integrate's grid.
+    """Final states of the moment equations from states0[i] under params_seq[i].
 
-    The fixed-step RK4 kernel runs here, not integrate's Magnus-6 steps:
-    those move delta_F of the Fig. 1 sweeps by about 1e-11 relative, past
-    the 1e-12 tolerance of their golden record.  Rows sharing a step count
-    advance as one stack, so every final state is bitwise the row's result
-    on its own.  The same physicality tests run at every recorded sample,
-    stacked over samples and rows.
+    Every input state is validated at t = 0, then each row runs on its own
+    through integrate's Magnus-6 steps (see _magnus_samples), with a step
+    count S set by step doubling: from S = 200 the row runs S and 2S steps
+    and compares the final mean, N and A, doubling S until they differ by
+    at most 1e-13 of the state scale max(1, max |entry|); the 2S result is
+    returned.  A row that needs more than _MAX_STEPS = 2^16 steps raises
+    GaussianError.  Every run validates every recorded sample, about 200
+    per piece of the schedule (see _final_moments), and a failure names
+    the sample's time and the row.
     """
     if t_final <= 0:
         raise GaussianError("t_final must be positive")
     if len(states0) != len(params_seq):
         raise GaussianError("need one SystemParams per initial state")
-    g_max = _peak_coupling(schedule, t_final)
-    groups: dict[int, list[int]] = {}
-    for i, params in enumerate(params_seq):
-        groups.setdefault(_step_count(params, g_max, t_final), []).append(i)
-    finals: list = [None] * len(states0)
-    for n_steps, rows in groups.items():
-        stacks = [
-            np.array([getattr(states0[i], f) for i in rows]) for f in ("mean", "normal", "anomalous")
-        ]
-        samples = _rk4_samples(
-            *stacks, [params_seq[i] for i in rows], schedule, t_final, n_steps, 201
-        )
-        for _, mean, normal, anomalous in _checked(samples, rows):
-            pass  # every sample is validated; the last one holds the final states
-        for j, i in enumerate(rows):
-            finals[i] = ThreeModeGaussianState._prechecked(mean[j], normal[j], anomalous[j])
-    return finals
+    if states0:
+        stacks = (np.array([getattr(st, f) for st in states0]) for f in ("mean", "normal", "anomalous"))
+        _check([0.0], *stacks, range(len(states0)))
+    return [
+        ThreeModeGaussianState._prechecked(*_settled_moments(state, params, schedule, t_final, row))
+        for row, (state, params) in enumerate(zip(states0, params_seq))
+    ]
 
 
 def reduce_to_mode(state: ThreeModeGaussianState, index: int) -> SingleModeGaussian:

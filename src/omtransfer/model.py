@@ -350,13 +350,16 @@ def _gauged_panels(params: SystemParams, schedule: CouplingSchedule, ts: np.ndar
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stacked product of (n, k, S) and (k, m, S) arrays, step axis last; either S may be 1.
 
-    einsum sums the k products left to right onto a zeroed output, each
-    product unfused, which tests/test_model.py pins bit for bit.  The step
-    axis must vary fastest in memory (|stride| = itemsize), so step subsets
-    are taken with np.compress or np.take, never a[..., mask] or
-    a[..., index]: on other layouts einsum runs about 10x slower and may
-    sum in another order, as it does for S = 1 with b transposed, so a
-    column's product can round differently alone than inside a stack.
+    The step axis must vary fastest in memory (|stride| = itemsize), so step
+    subsets are taken with np.compress or np.take, never a[..., mask] or
+    a[..., index]: on other layouts einsum runs about 10x slower.  On the
+    layouts tests/test_model.py covers (contiguous operands, an S of 1 on
+    either side, a with its first two axes swapped, b with its step axis
+    reversed), einsum sums the k products left to right onto a zeroed
+    output, each product unfused, bit for bit.  Nothing is claimed for
+    other layouts: with S = 1 and b transposed einsum sums in another
+    order, so a column's product rounds differently alone than inside a
+    stack.
     """
     return np.einsum("ijs,jks->iks", a, b)
 

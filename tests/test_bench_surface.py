@@ -105,11 +105,12 @@ def test_trajectory_integrate_evaluates_its_schedule_once_per_chunk(om):
 
 
 def test_one_magnus_kernel_serves_both_propagators(om, monkeypatch):
-    # the Gaussian-moment path and the pulse path build their panels, exponentiate and compose
-    # through the same model functions, one kernel call per chunk of steps; the full-matrix
-    # kernel is gone
+    # the Gaussian-moment paths (integrate and integrate_batch) and the pulse path build their
+    # panels, exponentiate and compose through the same model functions, one kernel call per
+    # chunk of steps; the full-matrix kernel and the RK4 kernel are gone
     shared = ("_gauged_panels", "_magnus6_block_exp", "_scan")
     assert not hasattr(om.model, "_magnus6_exp") and not hasattr(om.model, "_magnus6_omega")
+    assert not hasattr(om.gaussian, "_rk4_samples")
     seen = []
     for caller in ("gaussian", "transmission"):
         module = getattr(om, caller)
@@ -134,6 +135,13 @@ def test_one_magnus_kernel_serves_both_propagators(om, monkeypatch):
         if item.spec["schedule"]["type"] == "constant":
             # every step of a chunk shares one generator, so the kernel sees one column
             assert [args[0].shape[-1] for _, name, args in seen if name == "_magnus6_block_exp"] == [1] * chunks
+    seen.clear()
+    # a convert sweep: every doubling run of every row is one chunk of at most 1,024 steps
+    state0 = om.gaussian.embed_initial(om.gaussian.make_squeezed_coherent(1.0, 0.4, 0.3), 1.5)
+    params = [om.model.SystemParams(0.3, 0.1, 2e-4, 100.0), om.model.SystemParams(0.0, 0.0)]
+    om.gaussian.integrate_batch([state0] * 2, params, om.model.TrigSchedule(5.0, math.pi / 2), math.pi / 2)
+    assert len(seen) >= 2 * 2 * len(shared) and [name for _, name, _ in seen] == list(shared) * (len(seen) // 3)
+    assert {caller for caller, _, _ in seen} == {"gaussian"}
     seen.clear()
     pulse = om.transmission.gaussian_pulse(0.2, 1.0, 256)
     om.transmission.transmit_pulse_time(pulse, om.model.SystemParams(0.32, 0.16, 1e-3), om.model.ConstantCoupling(4.0, 3.0))

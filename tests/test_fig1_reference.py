@@ -144,30 +144,30 @@ def test_integrate_matches_the_exact_frame(duration):
         assert _state_error((traj.mean, traj.normal, traj.anomalous), want) <= INTEGRATE_BOUND, case
 
 
-# measured, worst final state over SWEEP: 3.2e-13, 8.1e-12 and 6.6e-11 of the state scale;
-# integrate_batch's RK4 error grows as (g h)^4 with h = T/2000
-BATCH_BOUND = {0.5: 1e-12, math.pi / 2: 2e-11, 3.0: 2e-10}
+# measured, worst final state over SWEEP: 1.7e-14, 1.2e-15 and 6.2e-15 of the state scale at
+# T = 0.5, pi/2 and 3; a 3x margin on the worst
+BATCH_BOUND = 5e-14
 
 
-@pytest.mark.parametrize("duration", sorted(BATCH_BOUND))
+@pytest.mark.parametrize("duration", [0.5, math.pi / 2, 3.0])
 def test_integrate_batch_matches_the_exact_frame(duration):
     states0, params, schedules = zip(*(_case(duration, *case) for case in SWEEP))
     finals = integrate_batch(list(states0), list(params), schedules[0], duration)
     for case, state0, p, final in zip(SWEEP, states0, params, finals):
         want = [f[-1:] for f in exact_trig_moments(state0, p, schedules[0], [duration])]
         got = (final.mean[None], final.normal[None], final.anomalous[None])
-        assert _state_error(got, want) <= BATCH_BOUND[duration], case
+        assert _state_error(got, want) <= BATCH_BOUND, case
 
 
-# measured: the program's row 0 is within 3.7e-13 in F (fig1b_squeezed) and 8.5e-12 in delta_F
-# (fig1c_squeezed) of the exact frame, as far as the batched RK4 is from the mpmath reference
+# measured: the program's row 0 is within 4.4e-16 in F (fig1c_squeezed) and
+# 3.7e-13 in delta_F (fig1c_squeezed) of the exact frame; a 4.5x and a 2.7x margin
 @pytest.mark.parametrize("name", CONFIGS)
 def test_fig1_row_0_matches_the_exact_frame(name):
     f_exact, delta_exact = _row0(name)
     f_num, delta_f = program_fidelities(name)
-    assert f_num[0] == pytest.approx(f_exact, rel=1e-12, abs=0.0)
+    assert f_num[0] == pytest.approx(f_exact, rel=2e-15, abs=0.0)
     if name in DELTA_F_CONFIGS:
-        assert delta_f[0] == pytest.approx(delta_exact, rel=1.5e-11, abs=0.0)
+        assert delta_f[0] == pytest.approx(delta_exact, rel=1e-12, abs=0.0)
 
 
 # measured: the mpmath row 0 is within 2.3e-16 in F and 5.6e-14 in delta_F of the exact frame,

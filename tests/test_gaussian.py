@@ -590,9 +590,9 @@ def test_nearly_hermitian_input_is_symmetrized_once():
         assert_allclose(st.anomalous, ref.anomalous, rtol=0.0, atol=1e-12)
 
 
-def test_integrate_batch_bitwise_equal_to_serial():
-    # rows of one batch equal single-row batches bit for bit; integrate runs Magnus-6
-    # steps instead of RK4 and is 2.8e-10 of the state's scale from them (measured)
+def test_integrate_batch_bitwise_equal_to_serial(monkeypatch):
+    # each row of a batch is bit for bit its lone Magnus run at the step count it accepted;
+    # integrate's fixed grid of 2,000 or more steps is 1.3e-14 of the state's scale from it (measured)
     coherent = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
     squeezed = embed_initial(make_squeezed_coherent(1.0, 0.4, 0.3), 1.5)
     hot = dict(gamma_m=2e-4, n_th=100.0)
@@ -600,21 +600,28 @@ def test_integrate_batch_bitwise_equal_to_serial():
     rows = [
         (coherent, SystemParams(kappa1=0.0, kappa2=0.0, **hot)),
         (squeezed, SystemParams(kappa1=0.3, kappa2=0.1, **hot)),
-        (coherent, SystemParams(kappa1=50.0, kappa2=0.0, **hot)),  # 7854 steps, not 2000
+        (coherent, SystemParams(kappa1=50.0, kappa2=0.0, **hot)),  # integrate takes 7,854 steps, not 2,000
         (squeezed, SystemParams(kappa1=1.0, kappa2=0.0, **hot)),
         (coherent, SystemParams(kappa1=0.0, kappa2=0.0, **quiet)),  # quiet-bath twins
         (squeezed, SystemParams(kappa1=0.3, kappa2=0.1, **quiet)),
     ]
+    run, accepted = gaussian._final_moments, {}
+
+    def spy(state, params, schedule, t_final, n_steps, row):
+        accepted[row] = n_steps
+        return run(state, params, schedule, t_final, n_steps, row)
+
+    monkeypatch.setattr(gaussian, "_final_moments", spy)
     finals = integrate_batch([st for st, _ in rows], [p for _, p in rows], FIG1, math.pi / 2)
-    assert len(finals) == len(rows)
-    for (st0, p), got in zip(rows, finals):
-        [want] = integrate_batch([st0], [p], FIG1, math.pi / 2)
-        assert np.array_equal(got.mean, want.mean)
-        assert np.array_equal(got.normal, want.normal)
-        assert np.array_equal(got.anomalous, want.anomalous)
+    assert len(finals) == len(rows) == len(accepted)
+    for row, ((st0, p), got) in enumerate(zip(rows, finals)):
+        moments = (st0.mean, st0.normal, st0.anomalous)
+        *_, last = gaussian._magnus_samples(*moments, p, FIG1, math.pi / 2, accepted[row], 201)
+        for field, lone in zip((got.mean, got.normal, got.anomalous), last[1:]):
+            assert field.tobytes() == lone[-1].tobytes()
         serial = integrate(st0, p, FIG1, math.pi / 2).final
         moments = [np.concatenate([s.mean, s.normal.ravel(), s.anomalous.ravel()]) for s in (got, serial)]
-        assert np.abs(moments[0] - moments[1]).max() < 1e-9 * max(1.0, np.abs(moments[1]).max())
+        assert np.abs(moments[0] - moments[1]).max() < 5e-14 * max(1.0, np.abs(moments[1]).max())
 
 
 def test_integrate_batch_names_time_and_row_of_unphysical_row():
@@ -624,10 +631,9 @@ def test_integrate_batch_names_time_and_row_of_unphysical_row():
     bad_anom[0, 0] = 0.5  # N = 0 with |m| > 0 violates n(n+1) >= |m|^2
     object.__setattr__(bad, "anomalous", bad_anom)  # bypass the constructor check
     p = SystemParams(kappa1=0.0, kappa2=0.0)
-    # row 1 runs in its own step group, so row 2 is the second row of its stack
     params = [p, SystemParams(kappa1=50.0, kappa2=0.0), p]
-    first_sample = 10 * (math.pi / 2) / 2000
-    with pytest.raises(PhysicalityError, match=rf"t = {first_sample:.6g}, row 2: .*uncertainty"):
+    # every input state is validated before any row runs
+    with pytest.raises(PhysicalityError, match=r"t = 0, row 2: .*uncertainty"):
         integrate_batch([good, good, bad], params, FIG1, math.pi / 2)
 
 
@@ -657,9 +663,29 @@ def test_integrate_batch_names_row_of_non_finite_moments():
     bad = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
     object.__setattr__(bad, "normal", np.full((3, 3), math.nan, dtype=complex))
     p = SystemParams(kappa1=0.0, kappa2=0.0)
-    first_sample = 10 * (math.pi / 2) / 2000
-    with pytest.raises(GaussianError, match=rf"t = {first_sample:.6g}, row 1: moments must be finite"):
+    with pytest.raises(GaussianError, match=r"t = 0, row 1: moments must be finite"):
         integrate_batch([good, bad, good], [p, p, p], FIG1, math.pi / 2)
+
+
+def test_integrate_batch_names_time_and_row_of_a_fault_mid_run(monkeypatch):
+    # the kernel damages sample 150 of row 1's first run: 200 steps, every one recorded
+    st0 = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
+    params = [SystemParams(kappa1=0.1, kappa2=0.0), SystemParams(kappa1=0.2, kappa2=0.0)]
+    kernel, times = gaussian._magnus_samples, []
+
+    def corrupted(*args):
+        for chunk in kernel(*args):
+            t, mean, normal, anomalous = (array.copy() for array in chunk)
+            if args[3] is params[1] and not times:
+                times.extend(t)
+                _squeeze_too_far(mean[150], normal[150], anomalous[150])
+            yield t, mean, normal, anomalous
+
+    monkeypatch.setattr(gaussian, "_magnus_samples", corrupted)
+    with pytest.raises(PhysicalityError, match="uncertainty relation") as info:
+        integrate_batch([st0, st0, st0], [params[0], params[1], params[0]], FIG1, math.pi / 2)
+    assert len(times) == 200 and times[150] == 151 * (math.pi / 2 / 200)
+    assert info.value.args[0].startswith(f"physicality violation at t = {times[150]:.6g}, row 1: ")
 
 
 def _corrupt_samples(monkeypatch, faults):

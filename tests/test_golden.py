@@ -13,14 +13,15 @@ bundled engineer_step CSVs, written while the pulse path still exponentiated
 full 5x5 Magnus generators, are held to the same tolerances.
 
 Four columns pin numerical error rather than physics, and are held to
-their own relative tolerance (COLUMN_RTOL): F_numeric, F_reference and
-delta_F carry the moment integrator's truncation error, and
-half_width_numeric the bisection's.  Each tolerance is the column's
-accuracy bound against an independent reference plus the golden value's
-measured distance to that reference, print rounding included, rounded up.
-The references are the mpmath solve in tests/reference/ (bounded in
-tests/test_rk4_kernel.py) and the companion-matrix root of the half-width
-polynomial (bounded in tests/test_transmission.py).
+their own relative tolerance (COLUMN_RTOL): the golden F_numeric,
+F_reference and delta_F carry the truncation error of the moment
+integrator that wrote them, and half_width_numeric the bisection's.  Each
+tolerance was set as the column's accuracy bound against an independent
+reference plus the golden value's measured distance to that reference,
+print rounding included, rounded up.  The references are the mpmath solve
+in tests/reference/ (bounded in tests/test_rk4_kernel.py, since tightened)
+and the companion-matrix root of the half-width polynomial (bounded in
+tests/test_transmission.py).
 """
 
 from pathlib import Path

@@ -401,9 +401,12 @@ def _left_to_right(a, b):
     ],
 )
 def test_mul_is_the_left_to_right_sum_bit_for_bit(dtypes, shapes):
-    # every bitwise comparison of the Magnus kernel's outputs (the complex-frame
-    # tests of test_real_gauge.py, the golden CSVs) rests on this contraction
-    # rule; a numpy whose einsum fuses multiply-adds, or reorders the sum, fails here
+    # the bit-equality holds for the layouts drawn here only: contiguous operands, an S
+    # of 1 on either side, then a with its first two axes swapped and b with its step
+    # axis reversed; nothing is claimed for others (with S = 1 and b transposed einsum
+    # sums in another order, see model._mul).  The complex-frame tests of
+    # test_real_gauge.py rest on this rule; a numpy whose einsum fuses multiply-adds,
+    # or reorders the sum, fails here
     rng = np.random.default_rng(5)
 
     def draw(shape, dtype):

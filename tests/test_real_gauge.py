@@ -242,9 +242,11 @@ def test_stacked_products_get_the_step_axis_fastest(monkeypatch, tmp_path):
     state = gaussian.embed_initial(gaussian.make_squeezed_coherent(0.5 + 0.5j, 0.3, 0.4), 0.5)
     gaussian.integrate(state, PARAMS[0], SCHEDULES["trig"], 30.0, n_samples=57)
     from_integrate = len(seen)
+    gaussian.integrate_batch([state] * 2, PARAMS[:2], SCHEDULES["piecewise"], 30.0)
+    from_batch = len(seen)
     config = Path(__file__).resolve().parents[1] / "scenarios" / "engineer_step.cfg"
     assert main(["run", str(config), "--out", str(tmp_path)]) == 0
-    assert 0 < from_integrate < len(seen)
+    assert 0 < from_integrate < from_batch < len(seen)
     assert [x.strides[-1] for x in seen if abs(x.strides[-1]) != x.itemsize] == []
 
 

@@ -1,10 +1,12 @@
-"""The RK4 moment kernel against a frozen copy of the plain-formula kernel.
+"""integrate_batch's step doubling on the Magnus kernel, and its accuracy against the mpmath reference.
 
-_reference_samples below is the kernel as it stood before the moments moved
-into one buffer and each stage became three stacked products.  Every sample
-of gaussian._rk4_samples must be byte-equal to it, signed zeros included,
-and N and A must stay exactly Hermitian and symmetric: the folded products
-are bitwise only under that precondition.
+integrate_batch runs each row on its own through gaussian._magnus_samples,
+doubling the step count S from 200 until the final moments of S and 2S
+steps differ by at most 1e-13 of the state scale.  Every batched row must
+be byte-equal to its lone run at the accepted S, signed zeros included.
+The module keeps its name from the fixed-step RK4 kernel that this path
+replaced; the tests that held that kernel to a frozen copy of itself now
+hold each row to its lone Magnus run.
 
 The accuracy oracle bounds how far the program's F_numeric and delta_F of
 the bundled Fig. 1 sweeps are from the extended-precision reference that
@@ -18,7 +20,7 @@ import pytest
 
 from fig1_reference import CONFIGS, DELTA_F_CONFIGS, column, program_fidelities
 from omtransfer import gaussian
-from omtransfer.gaussian import embed_initial, make_squeezed_coherent
+from omtransfer.gaussian import GaussianError, embed_initial, make_squeezed_coherent
 from omtransfer.model import (
     ConstantCoupling,
     PiecewiseLinearSchedule,
@@ -27,63 +29,7 @@ from omtransfer.model import (
     TrigSchedule,
 )
 
-# -- frozen reference kernel ---------------------------------------------------
-
-def _damping_and_diffusion(params_seq):
-    damping = np.zeros((len(params_seq), 3, 3), dtype=complex)
-    diffusion = np.zeros_like(damping)
-    damping[:, [0, 1, 2], [0, 1, 2]] = [
-        [-0.5j * p.kappa1, -0.5j * p.gamma_m, -0.5j * p.kappa2] for p in params_seq
-    ]
-    diffusion[:, 1, 1] = [p.gamma_m * p.n_th for p in params_seq]
-    return damping, diffusion
-
-
-def _drift(damping, schedule, t):
-    g1, g2 = schedule.values(min(max(t, 0.0), schedule.duration))
-    m = damping.copy()
-    m[:, 0, 1] = m[:, 1, 0] = g1
-    m[:, 1, 2] = m[:, 2, 1] = g2
-    return m
-
-
-def _derivative(m, diffusion, mean, normal, anomalous):
-    return (
-        -1j * (m @ mean),
-        1j * (m.conj() @ normal) - 1j * (normal @ m) + diffusion,
-        -1j * (m @ anomalous + anomalous @ m),
-    )
-
-
-def _shifted(state, c, d):
-    return state[0] + c * d[0], state[1] + c * d[1], state[2] + c * d[2]
-
-
-def _reference_samples(mean, normal, anomalous, params_seq, schedule, t_final, n_steps, n_samples):
-    damping, diffusion = _damping_and_diffusion(params_seq)
-    h = t_final / n_steps
-    w = h / 6.0
-    record_every = max(1, n_steps // max(1, n_samples - 1))
-    state = (mean[..., None], normal, anomalous)
-    for k in range(n_steps):
-        t = k * h
-        k1 = _derivative(_drift(damping, schedule, t), diffusion, *state)
-        m_half = _drift(damping, schedule, t + 0.5 * h)
-        k2 = _derivative(m_half, diffusion, *_shifted(state, 0.5 * h, k1))
-        k3 = _derivative(m_half, diffusion, *_shifted(state, 0.5 * h, k2))
-        k4 = _derivative(_drift(damping, schedule, t + h), diffusion, *_shifted(state, h, k3))
-        mean = state[0] + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        normal = state[1] + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        anomalous = state[2] + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        normal = 0.5 * (normal + normal.conj().swapaxes(1, 2))
-        anomalous = 0.5 * (anomalous + anomalous.swapaxes(1, 2))
-        state = (mean, normal, anomalous)
-        if (k + 1) % record_every == 0 and k + 1 < n_steps:
-            yield (k + 1) * h, mean[..., 0], normal, anomalous
-    yield t_final, mean[..., 0], normal, anomalous
-
-
-# -- bitwise agreement ---------------------------------------------------------
+# -- lone-run equality ---------------------------------------------------------
 
 COHERENT = embed_initial(make_squeezed_coherent(1.0, 0.0, 0.0), 0.0)
 SQUEEZED = embed_initial(make_squeezed_coherent(0.7 - 0.2j, 0.4, 0.3), 1.5)
@@ -109,46 +55,114 @@ STACKED = [
 ]
 
 
-def _assert_kernels_agree(rows, schedule, n_steps, n_samples):
-    stacks = [np.array([getattr(st, f) for st, _ in rows]) for f in ("mean", "normal", "anomalous")]
-    args = ([p for _, p in rows], schedule, schedule.duration, n_steps, n_samples)
-    got, seen = [], []
-    for sample in gaussian._rk4_samples(*stacks, *args):
-        got.append(sample)
-        seen.append([array.tobytes() for array in sample[1:]])
-    want = list(_reference_samples(*stacks, *args))
-    assert len(got) == len(want)
-    for (t, *arrays), (t_ref, *ref), bytes_at_yield in zip(got, want, seen):
-        assert t == t_ref
-        for array, expected, at_yield in zip(arrays, ref, bytes_at_yield):
-            assert array.shape == expected.shape
-            assert array.tobytes() == expected.tobytes() == at_yield, f"t = {t}"
-        _, normal, anomalous = arrays
-        assert np.array_equal(normal, normal.conj().swapaxes(1, 2))
-        assert np.array_equal(anomalous, anomalous.swapaxes(1, 2))
+def _lone_final(state, params, schedule, n_steps):
+    """Final (mean, N, A) of lone _magnus_samples runs over the pieces between the kinks, n_steps in all."""
+    edges = [0.0, *schedule.kinks(0.0, schedule.duration), schedule.duration]
+    moments = state.mean, state.normal, state.anomalous
+    for start, end in zip(edges, edges[1:]):
+        steps = math.ceil((end - start) / schedule.duration * n_steps)
+        *_, last = gaussian._magnus_samples(*moments, params, schedule, end, steps, 201, start)
+        moments = tuple(f[-1] for f in last[1:])
+    return moments
+
+
+def _batch_with_step_counts(monkeypatch, rows, schedule):
+    """integrate_batch's final states of rows, and the step counts S of each row's runs."""
+    run, counts = gaussian._final_moments, [[] for _ in rows]
+
+    def spy(state, params, schedule, t_final, n_steps, row):
+        counts[row].append(n_steps)
+        return run(state, params, schedule, t_final, n_steps, row)
+
+    monkeypatch.setattr(gaussian, "_final_moments", spy)
+    finals = gaussian.integrate_batch([st for st, _ in rows], [p for _, p in rows], schedule, schedule.duration)
+    monkeypatch.undo()
+    return finals, counts
+
+
+def _assert_rows_equal_lone_runs(monkeypatch, rows, schedule):
+    finals, counts = _batch_with_step_counts(monkeypatch, rows, schedule)
+    assert len(finals) == len(counts) == len(rows)
+    for (state, params), final, steps in zip(rows, finals, counts):
+        want = _lone_final(state, params, schedule, steps[-1])
+        for got, expected in zip((final.mean, final.normal, final.anomalous), want):
+            assert got.tobytes() == expected.tobytes(), steps
+        assert np.array_equal(final.normal, final.normal.conj().T)
+        assert np.array_equal(final.anomalous, final.anomalous.T)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
-def test_single_row_is_bitwise_the_reference(name):
-    # 1,000 steps span three drift chunks of 341 steps
-    _assert_kernels_agree([STACKED[1]], SCHEDULES[name], 1000, 101)
+def test_single_row_is_bitwise_the_reference(monkeypatch, name):
+    # the reference is the row's lone Magnus run at its accepted step count
+    _assert_rows_equal_lone_runs(monkeypatch, [STACKED[1]], SCHEDULES[name])
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
-def test_stacked_rows_are_bitwise_the_reference(name):
-    _assert_kernels_agree(STACKED, SCHEDULES[name], 250, 26)
+def test_stacked_rows_are_bitwise_the_reference(monkeypatch, name):
+    _assert_rows_equal_lone_runs(monkeypatch, STACKED, SCHEDULES[name])
 
 
-def test_squeezed_vacuum_with_diffusion_is_bitwise_the_reference():
+def test_squeezed_vacuum_with_diffusion_is_bitwise_the_reference(monkeypatch):
     rows = [(VACUUM_SQUEEZED, SystemParams(kappa1=0.4, kappa2=0.2, gamma_m=0.3, n_th=5.0))]
-    _assert_kernels_agree(rows, SCHEDULES["tanh"], 700, 8)
+    _assert_rows_equal_lone_runs(monkeypatch, rows, SCHEDULES["tanh"])
+
+
+def _change(fine, coarse) -> float:
+    """Largest entry change from coarse to fine (mean, N, A), relative to fine's scale max(1, |entries|)."""
+    scale = max(1.0, *(np.abs(f).max() for f in fine))
+    return max(np.abs(f - c).max() for f, c in zip(fine, coarse)) / scale
+
+
+def _assert_doubling_stops_at_the_first_settled_pair(state, params, schedule, steps):
+    assert len(steps) >= 2 and steps == [200 * 2**k for k in range(len(steps))]
+    finals = [_lone_final(state, params, schedule, n) for n in steps[-3:]]
+    assert _change(finals[-1], finals[-2]) <= 1e-13
+    if len(steps) > 2:
+        assert _change(finals[-2], finals[-3]) > 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_step_count_doubles_from_200_until_the_change_settles(monkeypatch, name):
+    schedule = SCHEDULES[name]
+    _, counts = _batch_with_step_counts(monkeypatch, STACKED, schedule)
+    for (state, params), steps in zip(STACKED, counts):
+        _assert_doubling_stops_at_the_first_settled_pair(state, params, schedule, steps)
+
+
+def test_faster_couplings_get_more_steps(monkeypatch):
+    # measured: S = 400 at amplitude 5, 3,200 at amplitude 50
+    rows = [STACKED[1]]
+    slow, fast = TrigSchedule(5.0, math.pi / 2), TrigSchedule(50.0, math.pi / 2)
+    _, [slow_steps] = _batch_with_step_counts(monkeypatch, rows, slow)
+    _, [fast_steps] = _batch_with_step_counts(monkeypatch, rows, fast)
+    assert slow_steps[-1] < fast_steps[-1]
+    _assert_doubling_stops_at_the_first_settled_pair(*rows[0], fast, fast_steps)
+
+
+def test_kinked_schedule_runs_each_piece_on_its_own(monkeypatch):
+    # g0 = 0 on [1, 1.2]; a uniform grid straddles both kinks, and its error falls only as S^-2
+    # (measured: 5e-11 of the state scale between 51,200 and 102,400 steps)
+    schedule = PiecewiseLinearSchedule((0.0, 1.0, 1.2, 2.2), (0.0, 0.0, 0.0, 5.0), (-5.0, 0.0, 0.0, 0.0))
+    kernel, spans = gaussian._magnus_samples, []
+    monkeypatch.setattr(gaussian, "_magnus_samples", lambda *args: spans.append((args[8], args[5])) or kernel(*args))
+    rows = [(COHERENT, SystemParams(kappa1=0.1, kappa2=0.1, gamma_m=1e-3, n_th=10.0))]
+    gaussian.integrate_batch([st for st, _ in rows], [p for _, p in rows], schedule, schedule.duration)
+    assert len(spans) >= 6 and spans == [(0.0, 1.0), (1.0, 1.2), (1.2, 2.2)] * (len(spans) // 3)
+
+
+def test_row_that_cannot_settle_names_its_row():
+    # amplitude 5,000 needs about 10^5 steps of pi / 2, past the 2^16 cap
+    rows = [STACKED[1], STACKED[1]]
+    schedule = TrigSchedule(5000.0, math.pi / 2)
+    with pytest.raises(GaussianError, match=r"^row 0: .*did not settle.*65536 steps"):
+        gaussian.integrate_batch([st for st, _ in rows], [p for _, p in rows], schedule, schedule.duration)
 
 
 # -- accuracy oracle -----------------------------------------------------------
 
-# measured against the mpmath reference: F within 4.9e-13 (fig1b_squeezed) and delta_F within
-# 8.9e-12 (fig1c_squeezed) relative; a 2x and a 1.7x margin
-F_RTOL, DELTA_F_RTOL = 1e-12, 1.5e-11
+# measured against the mpmath reference: F within 1.7e-15 (fig1b_squeezed) and delta_F within
+# 6.7e-13 (fig1c_squeezed) relative; a 3x and a 2.2x margin
+F_RTOL, DELTA_F_RTOL = 5e-15, 1.5e-12
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -173,8 +187,7 @@ def test_doubled_diffusion_fails_the_accuracy_oracle(monkeypatch):
 
 
 # measured against the mpmath reference: gaussian.integrate's F within 1.3e-15 and delta_F within
-# 1.2e-12 relative on fig1c, 2.5e-15 and 2.4e-12 on fig1c_squeezed; the batched RK4 above is
-# 4.8e-13 and 8.9e-12 away
+# 1.2e-12 relative on fig1c, 2.5e-15 and 2.4e-12 on fig1c_squeezed, on its fixed grid of 2,000 steps
 def test_integrate_fig1c_rows_are_close_to_the_converged_reference():
     for name in DELTA_F_CONFIGS:
         f_num, delta_f = program_fidelities(name, serial=True)
