@@ -394,16 +394,22 @@ def integrate(
     The grid is fixed: h = T / n for the least n with h <= min(T/2000, 0.01,
     0.01/max(kappa1, kappa2, gamma_m, g)), g the peak |g_i| at t = 0, T
     and schedule.probe_times(T, 255), and every max(1, n // (n_samples -
-    1))-th step and the last are recorded.  The input state is validated,
-    then N and A are symmetrized once on load: the exact blocks
-    embed_initial builds stay as they are, and an input Hermitian only
-    within the validator's 1e-8 loses its anti-Hermitian residue.  Every
-    recorded sample is validated as a state, one stacked validator call per
-    chunk of steps, which a batched Cholesky screen settles unless the chunk
-    holds a state near or past the uncertainty bound (see _first_fault); a
-    failure names the time of the first faulty sample.  The samples are
-    returned as stacks, concatenated once: Trajectory.states builds each
-    ThreeModeGaussianState only when it is read.
+    1))-th step and the last are recorded.  The grid is not split at the
+    kinks of a PiecewiseLinearSchedule, as Trajectory.times is API, so the
+    error of a step across a kink is O(h^2), not O(h^7): with breakpoints
+    (t, g1, g2) = (0, 0, -5), (1, 0, 0), (1.2, 0, 0), (2.2, 5, 0) and
+    kappa1 = kappa2 = 0.1, the 2,000-step final state is 1.8e-8 of the
+    state scale from that of integrate_batch, which splits its steps at
+    the kinks.  The input state is validated, then N and A are symmetrized once on load:
+    the exact blocks embed_initial builds stay as they are, and an input
+    Hermitian only within the validator's 1e-8 loses its anti-Hermitian
+    residue.  Every recorded sample is validated as a state, one stacked
+    validator call per chunk of steps, which a batched Cholesky screen
+    settles unless the chunk holds a state near or past the uncertainty
+    bound (see _first_fault); a failure names the time of the first faulty
+    sample.  The samples are returned as stacks, concatenated once:
+    Trajectory.states builds each ThreeModeGaussianState only when it is
+    read.
     """
     if t_final <= 0:
         raise GaussianError("t_final must be positive")

@@ -65,7 +65,7 @@ _MAX_PANELS = 2**16
 
 
 class TransmissionError(RuntimeError):
-    """Invalid pulse grid, singular response, or failed bracket search."""
+    """Invalid pulse grid, singular response, or no half-width crossing."""
 
 
 @dataclass(eq=False)
@@ -82,6 +82,9 @@ class Pulse:
             raise TransmissionError("pulse needs at least two samples")
         if self.amplitudes.shape != self.times.shape:
             raise TransmissionError("times and amplitudes must have equal length")
+        # NaN fails every comparison, so the grid check below would pass it
+        if not (np.isfinite(self.times).all() and np.isfinite(self.amplitudes).all()):
+            raise TransmissionError("pulse times and amplitudes must be finite")
         steps = np.diff(self.times)
         if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.mean():
             raise TransmissionError("pulse grid must be uniform and increasing")
@@ -130,16 +133,22 @@ def gaussian_pulse(
     return Pulse(times=times, amplitudes=amps)
 
 
-def _t31_values(
-    params: SystemParams, g1: float, g2: float, omegas: np.ndarray
-) -> np.ndarray:
-    """T31 on a frequency grid via det(wI - M) = w^3 + b w^2 + c w + d in closed form."""
-    if params.kappa1 == 0.0 or params.kappa2 == 0.0:
-        return np.zeros_like(omegas, dtype=complex)
+def _det_cubic(params: SystemParams, g1: float, g2: float) -> np.ndarray:
+    """Coefficients [1, b, c, d] of det(wI - M) = w^3 + b w^2 + c w + d."""
     d1, d2, dm = -0.5j * params.kappa1, -0.5j * params.kappa2, -0.5j * params.gamma_m
     b = -(d1 + dm + d2)
     c = d1 * dm + d1 * d2 + dm * d2 - g1 * g1 - g2 * g2
     d = -(d1 * dm * d2 - d1 * g2 * g2 - d2 * g1 * g1)
+    return np.array([1.0, b, c, d])
+
+
+def _t31_values(
+    params: SystemParams, g1: float, g2: float, omegas: np.ndarray
+) -> np.ndarray:
+    """T31 on a frequency grid as a constant over the det(wI - M) cubic."""
+    if params.kappa1 == 0.0 or params.kappa2 == 0.0:
+        return np.zeros_like(omegas, dtype=complex)
+    _, b, c, d = _det_cubic(params, g1, g2)
     det = ((omegas + b) * omegas + c) * omegas + d
     return -1j * math.sqrt(params.kappa1 * params.kappa2) * g1 * g2 / det
 
@@ -194,9 +203,11 @@ def t31_resonant(params: SystemParams, g1: float, g2: float) -> ResonantTransmis
 def half_width(params: SystemParams, g1: float, g2: float) -> tuple[float, float]:
     """(analytic, numeric) amplitude half-widths of |T31|.
 
-    The numeric value bisects |T31(w)| - |T31(0)|/2 for the smallest positive
-    crossing inside (0, g0/2]; the bracket excludes the normal-mode structure
-    near +-g0.
+    As T31 is a constant over det(wI - M), |T31(w)| = |T31(0)|/2 where the
+    real degree-6 polynomial |det(w)|^2 - 4 |det(0)|^2 vanishes.  The
+    numeric value is its smallest real root inside (0, g0/2], from the
+    eigenvalues of its companion matrix (np.roots); the bracket excludes
+    the normal-mode structure near +-g0.
     """
     if params.kappa1 <= 0 or params.kappa2 <= 0:
         raise TransmissionError("half-width requires kappa1, kappa2 > 0")
@@ -213,26 +224,18 @@ def half_width(params: SystemParams, g1: float, g2: float) -> tuple[float, float
         / (2.0 * (g1 * g1 + g2 * g2))
     )
 
-    n_scan = 2048
-    ws = g0 / 2.0 * np.arange(n_scan + 1) / n_scan
-    mags = np.abs(_t31_values(params, g1, g2, ws))
-    target = 0.5 * mags[0]
-    f = lambda w: abs(_t31_values(params, g1, g2, np.array([w]))[0]) - target
-    vals = mags - target
-    crossings = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    p = _det_cubic(params, g1, g2)
+    poly = np.polymul(p, p.conj()).real
+    poly[-1] -= 4.0 * abs(p[-1]) ** 2
+    # with g1 g2 = 0, T31 vanishes identically while the polynomial keeps its roots;
+    # couplings that are not finite, or overflow it, leave no root to find
+    roots = np.roots(poly) if g1 * g2 != 0.0 and np.isfinite(poly).all() else np.empty(0)
+    crossings = roots.real[(roots.imag == 0.0) & (roots.real > 0.0) & (roots.real <= g0 / 2.0)]
     if crossings.size == 0:
         raise TransmissionError(
             "no half-width crossing in (0, g0/2]; outside the validity regime"
         )
-    lo, hi = ws[crossings[0]], ws[crossings[0] + 1]
-    # relative past 1: an absolute 1e-10 is below the float spacing near a crossing at ~1e6
-    while hi - lo > 1e-10 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return analytic, 0.5 * (lo + hi)
+    return analytic, float(crossings.min())
 
 
 def pulse_energy(p: Pulse) -> float:

@@ -126,9 +126,13 @@ def _give_up(signum, frame):
     raise TimeoutError("half_width did not return within 10 s")
 
 
+# measured: |T31| at the half-width is within 5.6e-16 relative of |T31(0)|/2 by the LAPACK
+# solve, at the bundled fig2 points and at the large scale below; bound ~9x that
+T31_HALF_RTOL = 5e-15
+
+
 def test_half_width_terminates_at_large_scale():
-    # near a crossing at ~1e6 the float spacing exceeds 1e-10, so a bisection
-    # that stops on an absolute width never ends
+    # the crossing lies near 2.6e6, where the float spacing exceeds 1e-10
     p = SystemParams(kappa1=3e6, kappa2=3e6)
     previous = signal.signal(signal.SIGALRM, _give_up)
     signal.alarm(10)
@@ -138,7 +142,7 @@ def test_half_width_terminates_at_large_scale():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     t31 = np.abs(transmission_spectrum(p, 4e7, 4e7, np.array([0.0, numeric])).t31())
-    assert abs(t31[1] - t31[0] / 2) <= 1e-9 * t31[0] / 2
+    assert abs(t31[1] - t31[0] / 2) <= T31_HALF_RTOL * t31[0] / 2
 
 
 @pytest.mark.parametrize("pair", FIG2_PAIRS)
@@ -166,15 +170,34 @@ def test_half_width_root_of_the_fig2b_point():
     assert root == pytest.approx(0.188816855521, abs=5e-13)
 
 
-# measured: the bisection is within 1.65e-10 relative of the root at these, the bundled fig2 points
-HALF_WIDTH_RTOL = 2.5e-10
+# the bundled fig2 points; measured: half_width is within 1.7e-15 relative of the oracle's root
+# at these, both rounding of np.roots on differently formed coefficients; bound ~6x that
+BUNDLED_KAPPAS = [(0.48, 0.27), (0.32, 0.18), (0.16, 0.09), (0.096, 0.16), (0.32, 0.16)]
+HALF_WIDTH_RTOL = 1e-14
 
 
-@pytest.mark.parametrize("kappa", [(0.48, 0.27), (0.32, 0.18), (0.16, 0.09), (0.096, 0.16), (0.32, 0.16)])
+@pytest.mark.parametrize("kappa", BUNDLED_KAPPAS)
 def test_half_width_is_the_polynomial_root(kappa):
     params = SystemParams(kappa1=kappa[0], kappa2=kappa[1], gamma_m=0.001)
     numeric = half_width(params, 4.0, 3.0)[1]
     assert numeric == pytest.approx(half_width_root(params, 4.0, 3.0), rel=HALF_WIDTH_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa", BUNDLED_KAPPAS)
+def test_half_width_halves_the_solved_t31(kappa):
+    # checked by the batched LAPACK solve, which shares no code with np.roots
+    params = SystemParams(kappa1=kappa[0], kappa2=kappa[1], gamma_m=0.001)
+    numeric = half_width(params, 4.0, 3.0)[1]
+    t31 = np.abs(transmission_spectrum(params, 4.0, 3.0, np.array([0.0, numeric])).t31())
+    assert abs(t31[1] - t31[0] / 2) <= T31_HALF_RTOL * t31[0] / 2
+
+
+@pytest.mark.parametrize("g1, g2", [(0.0, 3.0), (4.0, 0.0), (math.nan, 3.0), (math.inf, 3.0), (1e200, 1e200)])
+def test_half_width_without_transmission_has_no_crossing(g1, g2):
+    # with g1 g2 = 0, T31 vanishes identically though |det(w)|^2 - 4 |det(0)|^2 has a root
+    # in (0, g0/2]; past that, the polynomial is not finite and np.roots would raise LinAlgError
+    with pytest.raises(TransmissionError, match="no half-width crossing"):
+        half_width(SystemParams(0.32, 0.18, 1e-3), g1, g2)
 
 
 def test_half_width_requires_damping():
@@ -202,6 +225,15 @@ def test_noise_suppression_at_optimal_pairs():
     for pair in FIG2_PAIRS[:3]:
         t = transmission_matrix(fig2_params(*pair), 4.0, 3.0, 0.0)
         assert abs(t[2, 1]) < 0.05 and abs(t[2, 2]) < 0.05
+
+
+@pytest.mark.parametrize("field", ["times", "amplitudes"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pulse_rejects_non_finite_samples(field, bad):
+    samples = {"times": np.array([0.0, 1.0, 2.0]), "amplitudes": np.array([1.0, 0.5, 0.0j])}
+    samples[field][1] = bad
+    with pytest.raises(TransmissionError, match="finite"):
+        Pulse(**samples)
 
 
 def test_pulse_fidelity_reference_cases():
