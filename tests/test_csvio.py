@@ -26,6 +26,25 @@ EDGE_FLOATS = [
     1234567890123.0,
     0.1,
     1 / 3,
+    # the product y = v * 10**(11 - x) lands within its error of a rounding tie:
+    # without the fallback band these print a wrong 12th digit
+    0.3128910986805,
+    4.768107029395e-10,
+    3.591452681865e-17,
+    -7.304238781825001e-18,
+    -5.211578665025e16,
+    -3.4814247386450004e-12,
+    # exact ties in the 13th digit, which round half to even
+    100000000000.5,
+    999999999999.5,
+    1234567890.125,
+    # the edges between fixed and scientific notation, after rounding
+    9.9999999999995e-05,
+    0.0001,
+    1e-05,
+    999999999999.4,
+    # the edges of the vectorized range, and their neighbours
+    *(float(np.nextafter(e, toward)) for e in (1e-290, -1e-290, 1e290, -1e290) for toward in (e, 0.0, 2 * e)),
 ]
 
 
@@ -42,9 +61,25 @@ def _tables(draw):
     return draw(arrays(np.float64, shape, elements=cells))
 
 
+@st.composite
+def _large_tables(draw):
+    """Up to 20,000 cells, uniform over the bit patterns of all finite float64 values."""
+    shape = (draw(st.integers(1, 5000)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    return np.where(np.isfinite(table), table, 0.0)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_tables())
 def test_array_rows_match_format_value_rows(table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    assert build_csv(header, table) == _cell_by_cell(header, table)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_large_tables())
+def test_large_tables_match_format_value_rows(table):
     header = [f"c{j}" for j in range(table.shape[1])]
     assert build_csv(header, table) == _cell_by_cell(header, table)
 
@@ -58,6 +93,9 @@ def test_edge_floats_in_one_table():
         "0", "-0", "4.94065645841e-324", "-4.94065645841e-324",
         "2.22507385851e-308", "1e-310", "inf", "-inf", "nan",
     ]
+    # each edge float in both columns of a reversed, strided view
+    strided = np.array(EDGE_FLOATS * 3).reshape(3, -1).T[::-1, ::2]
+    assert build_csv(header[:2], strided) == _cell_by_cell(header[:2], strided)
 
 
 def test_mixed_rows_keep_cell_formatting():

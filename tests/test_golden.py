@@ -12,19 +12,18 @@ match exactly, numbers to 1e-11 relative or 1e-15 absolute: one flip in the
 bundled engineer_step CSVs, written while the pulse path still exponentiated
 full 5x5 Magnus generators, are held to the same tolerances.
 
-Four columns pin numerical error rather than physics, and are held to
+Three columns pin numerical error rather than physics, and are held to
 their own relative tolerance (COLUMN_RTOL): the golden F_numeric,
 F_reference and delta_F carry the truncation error of the moment
-integrator that wrote them, and half_width_numeric the stopping width of
-the bisection that wrote it; half_width now takes the polynomial's root.
-Each tolerance was set as the column's accuracy bound against an
-independent reference plus the golden value's measured distance to that
-reference, print rounding included, rounded up.  The references are the
-mpmath solve in tests/reference/ (bounded in tests/test_rk4_kernel.py,
-since tightened) and the companion-matrix root of the half-width
-polynomial (bounded in tests/test_transmission.py, since tightened to
-1e-14).  half_width_numeric keeps its 5e-10 until the golden is
-re-recorded from the root.
+integrator that wrote them.  Each tolerance was set as the column's
+accuracy bound against an independent reference (the mpmath solve in
+tests/reference/, bounded in tests/test_rk4_kernel.py, since tightened)
+plus the golden value's measured distance to that reference, print
+rounding included, rounded up.  half_width_numeric and its stdout keys
+were re-recorded from the polynomial root that half_width returns (held
+to 1e-14 of an independent root in tests/test_transmission.py), so they
+are held to the Fig. 2 default; the bisection values they replaced were
+up to 1.64e-10 relative away.
 """
 
 from pathlib import Path
@@ -42,9 +41,6 @@ COLUMN_RTOL = {
     "F_numeric": 2e-12,  # bound 1e-12 + measured 9.2e-13 (fig1c_squeezed)
     "F_reference": 2e-12,  # bound 1e-12 + measured 8.2e-13 (fig1c)
     "delta_F": 3e-11,  # bound 1.5e-11 + measured 1.1e-11 (fig1c row 0)
-    # set as the bisection's bound 2.5e-10 + measured 1.63e-10; the golden values, which the bisection
-    # wrote, are 1.64e-10 from the root half_width now returns (fig2b, fig2cd), so it stays until re-recorded
-    "half_width_numeric": 5e-10,
 }
 
 
