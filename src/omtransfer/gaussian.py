@@ -314,13 +314,18 @@ def _advance(e, q, mean, normal, anomalous):
     return _mul(e, mean[:, None])[:, 0], 0.5 * (n + n.conj().swapaxes(0, 1)), 0.5 * (a + a.swapaxes(0, 1))
 
 
-def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps, n_samples, start=0.0):
-    """n_steps equal Magnus-6 Van Loan steps from start to t_final on one (3,) mean and (3, 3) N and A.
+def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps, n_samples):
+    """n_steps equal Magnus-6 Van Loan steps over [0, t_final] on one (3,) mean and (3, 3) N and A.
 
     Yields (times, mean, N, A) stacks of the recorded samples, every
     max(1, n_steps // (n_samples - 1))-th step and the last, once per chunk
     of _CHUNK_STEPS steps, t_final last; yielded arrays are never modified
-    afterwards.  The steps run in real arithmetic, in the gauge v = T v' of
+    afterwards.  A step that holds a kink of the schedule (schedule.kinks)
+    runs as sub-steps that meet at each kink, so no step's generator has a
+    kink inside and every step keeps its sixth order; samples are recorded
+    only at the ends of whole steps, on the grid k t_final / n_steps.  A
+    chunk without a kink does the arithmetic of plain equal steps.  The
+    steps run in real arithmetic, in the gauge v = T v' of
     model._gauged_drift: the maps mean' = T*^-1 mean, N' = T^-1 N T^-H and
     A' = T*^-1 A T*^-T on load, and back on yield, multiply entries by units.
     A step's propagator Phi = exp(Omega) of the Van Loan generator
@@ -337,26 +342,31 @@ def _magnus_samples(mean, normal, anomalous, params, schedule, t_final, n_steps,
     and are transposed to (S, 3, 3) stacks on yield.  N and A are
     symmetrized on load and at every sample.
     """
-    h = (t_final - start) / n_steps
+    h = t_final / n_steps
     record_every = max(1, n_steps // max(1, n_samples - 1))
     diffusion = _diffusion([params])[0].real[..., None]
     mean = (_GAUGED[0] * mean)[:, None]
     normal = (_GAUGED[1] * (0.5 * (normal + normal.conj().T)))[..., None]
     anomalous = (_GAUGED[2] * (0.5 * (anomalous + anomalous.T)))[..., None]
     for k0 in range(0, n_steps, _CHUNK_STEPS):
-        ends = np.arange(k0 + 1, min(k0 + _CHUNK_STEPS, n_steps) + 1)
+        # each (sub-)step's end and width, counted in steps
+        ends, width = np.arange(k0 + 1, min(k0 + _CHUNK_STEPS, n_steps) + 1), 1.0
+        kinks = schedule.kinks(k0 * h, ends[-1] * h)
+        if kinks.size:
+            edges = np.union1d(np.arange(k0, ends[-1] + 1.0), np.clip(kinks / h, k0, ends[-1]))
+            ends, width = edges[1:], np.diff(edges)
         # the last nodes may overshoot the schedule end by rounding; clamp
-        ts = np.clip(start + (ends - 1.0 + _GL3_NODES[:, None]) * h, 0.0, schedule.duration)
-        r, _, run = _gauged_panels(params, schedule, ts.T, h)
-        e, e12, _ = _magnus6_block_exp(np.ascontiguousarray(r.swapaxes(1, 2)), diffusion, -r, h)
+        ts = np.clip((ends - width + _GL3_NODES[:, None] * width) * h, 0.0, schedule.duration)
+        r, run_h, run = _gauged_panels(params, schedule, ts.T, width * h)
+        e, e12, _ = _magnus6_block_exp(r.swapaxes(1, 2).copy(), diffusion, -r, run_h if kinks.size else h)
         # Q is formed per step: a lone run's (3, 3, 1) product may round otherwise (see model._mul)
         e, e12 = (np.take(f, run, axis=-1) for f in (e, e12))
         q = _mul(e12, e.swapaxes(0, 1))
         _scan(e, q, lambda ek, qk: _mul(_mul(ek, qk), ek.swapaxes(0, 1)))
-        recorded = (ends % record_every == 0) | (ends == n_steps)
+        recorded = (ends % record_every == 0) | (ends == n_steps)  # only whole steps end on an integer
         samples = _advance(*(np.compress(recorded, f, axis=-1) for f in (e, q)), mean, normal, anomalous)
         mean, normal, anomalous = _advance(e[..., -1:], q[..., -1:], mean, normal, anomalous)
-        times = np.where(ends[recorded] == n_steps, t_final, start + ends[recorded] * h)
+        times = np.where(ends[recorded] == n_steps, t_final, ends[recorded] * h)
         yield (times, *(np.multiply(np.moveaxis(f, -1, 0), g.conj(), order="C") for f, g in zip(samples, _GAUGED)))
 
 
@@ -394,13 +404,10 @@ def integrate(
     The grid is fixed: h = T / n for the least n with h <= min(T/2000, 0.01,
     0.01/max(kappa1, kappa2, gamma_m, g)), g the peak |g_i| at t = 0, T
     and schedule.probe_times(T, 255), and every max(1, n // (n_samples -
-    1))-th step and the last are recorded.  The grid is not split at the
-    kinks of a PiecewiseLinearSchedule, as Trajectory.times is API, so the
-    error of a step across a kink is O(h^2), not O(h^7): with breakpoints
-    (t, g1, g2) = (0, 0, -5), (1, 0, 0), (1.2, 0, 0), (2.2, 5, 0) and
-    kappa1 = kappa2 = 0.1, the 2,000-step final state is 1.8e-8 of the
-    state scale from that of integrate_batch, which splits its steps at
-    the kinks.  The input state is validated, then N and A are symmetrized once on load:
+    1))-th step and the last are recorded.  A step that holds a kink of a
+    PiecewiseLinearSchedule runs as sub-steps that meet at the kink, as in
+    integrate_batch, while the samples stay on the grid.  The input state
+    is validated, then N and A are symmetrized once on load:
     the exact blocks embed_initial builds stay as they are, and an input
     Hermitian only within the validator's 1e-8 loses its anti-Hermitian
     residue.  Every recorded sample is validated as a state, one stacked
@@ -415,31 +422,26 @@ def integrate(
         raise GaussianError("t_final must be positive")
     _check([0.0], state0.mean[None], state0.normal[None], state0.anomalous[None])
     n_steps = _step_count(params, _peak_coupling(schedule, t_final), t_final)
-    chunks = [(np.zeros(1), state0.mean[None], state0.normal[None], state0.anomalous[None])]
-    samples = _magnus_samples(
-        state0.mean, state0.normal, state0.anomalous, params, schedule, t_final, n_steps, n_samples
-    )
-    for chunk in samples:
+    moments = state0.mean, state0.normal, state0.anomalous
+    chunks = [(np.zeros(1), *(f[None] for f in moments))]
+    for chunk in _magnus_samples(*moments, params, schedule, t_final, n_steps, n_samples):
         _check(*chunk)
         chunks.append(chunk)
     return Trajectory(*(np.concatenate(field) for field in zip(*chunks)))
 
 
 def _final_moments(state, params, schedule, t_final, n_steps, row):
-    """(3,) mean and (3, 3) N and A at t_final after about n_steps Magnus steps, every sample validated.
+    """(3,) mean and (3, 3) N and A at t_final after n_steps Magnus steps, every sample validated.
 
-    Each piece between the schedule's kinks runs on its own with its share
-    of n_steps, so no step straddles a kink, and records about 200 samples;
-    a smooth schedule is one piece of n_steps.  A faulty sample raises,
-    naming its time and the row.
+    The run records 200 samples for each piece between the schedule's
+    kinks, evenly spaced over [0, t_final], or every step of a shorter
+    run; a faulty sample raises, naming its time and the row.
     """
-    edges = np.array([0.0, *schedule.kinks(0.0, t_final), t_final])
+    n_samples = 200 * (len(schedule.kinks(0.0, t_final)) + 1) + 1
     moments = state.mean, state.normal, state.anomalous
-    for start, end, steps in zip(edges, edges[1:], np.ceil(np.diff(edges) / t_final * n_steps)):
-        for chunk in _magnus_samples(*moments, params, schedule, end, int(steps), 201, start):
-            _check(*chunk, [row])
-        moments = tuple(f[-1].copy() for f in chunk[1:])  # a view would keep the chunk's stacks alive
-    return moments
+    for chunk in _magnus_samples(*moments, params, schedule, t_final, n_steps, n_samples):
+        _check(*chunk, [row])
+    return tuple(f[-1].copy() for f in chunk[1:])  # a view would keep the chunk's stacks alive
 
 
 _FIRST_STEPS = 200
@@ -474,9 +476,9 @@ def integrate_batch(
     and compares the final mean, N and A, doubling S until they differ by
     at most 1e-13 of the state scale max(1, max |entry|); the 2S result is
     returned.  A row that needs more than _MAX_STEPS = 2^16 steps raises
-    GaussianError.  Every run validates every recorded sample, about 200
-    per piece of the schedule (see _final_moments), and a failure names
-    the sample's time and the row.
+    GaussianError.  Every run validates every recorded sample, 200 per
+    piece of the schedule between its kinks (see _final_moments), and a
+    failure names the sample's time and the row.
     """
     if t_final <= 0:
         raise GaussianError("t_final must be positive")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from collections.abc import Sequence
@@ -826,7 +827,130 @@ def test_integrate_step_sees_coupling_burst_between_grid_times():
     state0 = embed_initial(make_squeezed_coherent(1.0, 0.3, 0.2), 2.0)
     final = integrate(state0, params, schedule, t_final, n_samples=2).final
     reference = _mean_reference(schedule, params, state0.mean, t_final)
-    assert np.abs(final.mean - reference).max() < 1e-7
+    # measured: 7.9e-13, where DOP853 runs at rtol 1e-12; a 3.8x margin (steps across the kinks: 6.6e-11)
+    assert np.abs(final.mean - reference).max() < 3e-12
+
+
+def _state_error(got, want) -> float:
+    """Largest entry error of (mean, N, A), relative to the state scale max(1, |entries|) of want."""
+    scale = max(1.0, *(np.abs(f).max() for f in want))
+    return max(np.abs(g - f).max() for g, f in zip(got, want)) / scale
+
+
+def _moments(states):
+    return tuple(np.array([getattr(st, f) for st in states]) for f in ("mean", "normal", "anomalous"))
+
+
+def test_integrate_meets_integrate_batch_at_kinks():
+    # g0 = 0 on [1, 1.2]; integrate's 2,000 steps put both kinks inside a step, so only its
+    # sub-steps keep it near integrate_batch (measured: 4.8e-14; a 3.1x margin; whole steps: 3.8e-8)
+    schedule = PiecewiseLinearSchedule((0.0, 1.0, 1.2, 2.2), (0.0, 0.0, 0.0, 5.0), (-5.0, 0.0, 0.0, 0.0))
+    params = SystemParams(kappa1=0.1, kappa2=0.1, gamma_m=1e-3, n_th=10.0)
+    state0 = embed_initial(make_squeezed_coherent(0.7 - 0.2j, 0.4, 0.3), 1.5)
+    serial = integrate(state0, params, schedule, schedule.duration).final
+    batch = integrate_batch([state0], [params], schedule, schedule.duration)[0]
+    assert _state_error(_moments([serial]), _moments([batch])) < 1.5e-13
+
+
+def _generator(params, g1, g2):
+    """G = -i M for couplings g1, g2, entry by entry."""
+    damping = -0.5j * np.array([params.kappa1, params.gamma_m, params.kappa2])
+    return -1j * (np.diag(damping) + np.array([[0.0, g1, 0.0], [g1, 0.0, g2], [0.0, g2, 0.0]]))
+
+
+def _switched_moments(state0, params, schedule, times):
+    """Mean, N and A stacks at times, increasing from 0, under a PiecewiseLinearSchedule of constant pieces and ramps.
+
+    With G = -i M the moment equations read dv/dt = G v, dN/dt = G* N +
+    N G^T + D and dA/dt = G A + A G^T.  Over a constant piece they are
+    solved exactly by one Van Loan exponential exp([[G*, D], [0, -G^T]] t)
+    = [[e^{G* t}, X], [0, .]], which gives N's noise X e^{G^T t}, as in
+    tests/test_fig1_reference.py; over a ramp DOP853 solves them, restarted
+    at every requested time.
+    """
+    diffusion = np.diag([0.0, params.gamma_m * params.n_th, 0.0])
+    moments = (state0.mean, state0.normal, state0.anomalous)
+    samples = [[f] for f in moments]
+    breaks, g1, g2 = schedule.times, schedule.g1_values, schedule.g2_values
+    for k, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
+        at = np.union1d(times[(lo < times) & (times <= hi)], hi)
+        if (g1[k], g2[k]) == (g1[k + 1], g2[k + 1]):
+            g = _generator(params, g1[k], g2[k])
+            phi = expm((at - lo)[:, None, None] * np.block([[g.conj(), diffusion], [np.zeros((3, 3)), -g.T]]))
+            e = phi[:, :3, :3].conj()
+            et = e.swapaxes(1, 2)
+            got = (e @ moments[0], e.conj() @ moments[1] @ et + phi[:, :3, 3:] @ et, e @ moments[2] @ et)
+        else:
+            def rhs(t, y):
+                g = _generator(params, *(float(v) for v in schedule.values(t)))
+                mean, normal, anomalous = np.split(y.view(complex), [3, 12])
+                normal, anomalous = normal.reshape(3, 3), anomalous.reshape(3, 3)
+                d = (g @ mean, g.conj() @ normal + normal @ g.T + diffusion, g @ anomalous + anomalous @ g.T)
+                return np.concatenate([f.ravel() for f in d]).view(float)
+
+            ys = [np.concatenate([f.ravel() for f in moments]).view(float)]
+            for a, b in zip(np.append(lo, at[:-1]), at):
+                ys.append(solve_ivp(rhs, (a, b), ys[-1], method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1])
+            mean, normal, anomalous = np.split(np.array(ys[1:]).view(complex), [3, 12], axis=1)
+            got = (mean, normal.reshape(-1, 3, 3), anomalous.reshape(-1, 3, 3))
+        for sample, f in zip(samples, got):
+            sample.extend(f[np.isin(at, times)])
+        moments = tuple(f[-1] for f in got)
+    return tuple(np.array(f) for f in samples)
+
+
+# constant couplings joined by 0.05-long ramps; no kink lies on integrate's grid of 2,000 steps
+SWITCHED = PiecewiseLinearSchedule(
+    (0.0, 0.6037, 0.6537, 1.4021, 1.4521, 2.0), (0.0, 0.0, 2.0, 2.0, 4.0, 4.0), (-3.0, -3.0, -2.0, -2.0, 0.0, 0.0)
+)
+SWITCHED_PARAMS = SystemParams(kappa1=0.3, kappa2=0.1, gamma_m=2e-3, n_th=4.0)
+SWITCHED_STATE = embed_initial(make_squeezed_coherent(0.7 - 0.2j, 0.4, 0.3), 1.5)
+# measured: integrate's samples 8.2e-14 and integrate_batch 1.5e-14 of the state scale; 3.7x and 3.3x margins
+SWITCHED_BOUNDS = (3e-13, 5e-14)
+
+
+@pytest.fixture(scope="module")
+def switched_reference():
+    times = integrate(SWITCHED_STATE, SWITCHED_PARAMS, SWITCHED, SWITCHED.duration).times
+    return times, _switched_moments(SWITCHED_STATE, SWITCHED_PARAMS, SWITCHED, times)
+
+
+def _switched_errors(params, reference):
+    """State errors of integrate's samples and integrate_batch's final state under params, against reference."""
+    times, want = reference
+    traj = integrate(SWITCHED_STATE, params, SWITCHED, SWITCHED.duration)
+    assert traj.times.tobytes() == times.tobytes()
+    final = integrate_batch([SWITCHED_STATE], [params], SWITCHED, SWITCHED.duration)[0]
+    return (_state_error((traj.mean, traj.normal, traj.anomalous), want),
+            _state_error(_moments([final]), tuple(f[-1:] for f in want)))
+
+
+def test_both_integrators_match_the_exact_switched_oracle(switched_reference):
+    errors = _switched_errors(SWITCHED_PARAMS, switched_reference)
+    assert all(error < bound for error, bound in zip(errors, SWITCHED_BOUNDS)), errors
+
+
+def test_switched_oracle_catches_a_scaled_sqrt_kappa1(switched_reference):
+    # measured: 2.6e-5 and 2.8e-5
+    scaled = dataclasses.replace(SWITCHED_PARAMS, kappa1=SWITCHED_PARAMS.kappa1 * (1.0 + 1e-4) ** 2)
+    errors = _switched_errors(scaled, switched_reference)
+    assert all(error > bound for error, bound in zip(errors, SWITCHED_BOUNDS)), errors
+
+
+def test_switched_oracle_catches_a_kink_step_run_whole(monkeypatch, switched_reference):
+    # with the kink at 0.6037 hidden from the steps, integrate's samples are 1.4e-7 off, and
+    # integrate_batch's step doubling cannot settle an O(h^2) step
+    kinks = PiecewiseLinearSchedule.kinks
+
+    def hidden(self, lo, hi):
+        return np.setdiff1d(kinks(self, lo, hi), 0.6037)
+
+    monkeypatch.setattr(PiecewiseLinearSchedule, "kinks", hidden)
+    times, want = switched_reference
+    traj = integrate(SWITCHED_STATE, SWITCHED_PARAMS, SWITCHED, SWITCHED.duration)
+    assert _state_error((traj.mean, traj.normal, traj.anomalous), want) > SWITCHED_BOUNDS[0]
+    with pytest.raises(GaussianError, match="did not settle"):
+        integrate_batch([SWITCHED_STATE], [SWITCHED_PARAMS], SWITCHED, SWITCHED.duration)
 
 
 def test_every_step_equals_composing_the_magnus_maps_one_by_one():

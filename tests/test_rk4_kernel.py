@@ -4,6 +4,9 @@ integrate_batch runs each row on its own through gaussian._magnus_samples,
 doubling the step count S from 200 until the final moments of S and 2S
 steps differ by at most 1e-13 of the state scale.  Every batched row must
 be byte-equal to its lone run at the accepted S, signed zeros included.
+A step that holds a kink of the schedule runs as sub-steps that meet at
+the kink, in integrate and integrate_batch alike, and the samples stay on
+the grid of whole steps.
 The module keeps its name from the fixed-step RK4 kernel that this path
 replaced; the tests that held that kernel to a frozen copy of itself now
 hold each row to its lone Magnus run.
@@ -56,14 +59,10 @@ STACKED = [
 
 
 def _lone_final(state, params, schedule, n_steps):
-    """Final (mean, N, A) of lone _magnus_samples runs over the pieces between the kinks, n_steps in all."""
-    edges = [0.0, *schedule.kinks(0.0, schedule.duration), schedule.duration]
+    """Final (mean, N, A) of a lone _magnus_samples run of n_steps over the whole schedule."""
     moments = state.mean, state.normal, state.anomalous
-    for start, end in zip(edges, edges[1:]):
-        steps = math.ceil((end - start) / schedule.duration * n_steps)
-        *_, last = gaussian._magnus_samples(*moments, params, schedule, end, steps, 201, start)
-        moments = tuple(f[-1] for f in last[1:])
-    return moments
+    *_, last = gaussian._magnus_samples(*moments, params, schedule, schedule.duration, n_steps, 201)
+    return tuple(f[-1] for f in last[1:])
 
 
 def _batch_with_step_counts(monkeypatch, rows, schedule):
@@ -139,15 +138,48 @@ def test_faster_couplings_get_more_steps(monkeypatch):
     _assert_doubling_stops_at_the_first_settled_pair(*rows[0], fast, fast_steps)
 
 
-def test_kinked_schedule_runs_each_piece_on_its_own(monkeypatch):
-    # g0 = 0 on [1, 1.2]; a uniform grid straddles both kinks, and its error falls only as S^-2
-    # (measured: 5e-11 of the state scale between 51,200 and 102,400 steps)
+def test_steps_that_hold_a_kink_become_sub_steps_that_meet_at_it(monkeypatch):
+    # g0 = 0 on [1, 1.2]; a uniform grid straddles both kinks, where a whole step's error is O(h^2)
     schedule = PiecewiseLinearSchedule((0.0, 1.0, 1.2, 2.2), (0.0, 0.0, 0.0, 5.0), (-5.0, 0.0, 0.0, 0.0))
-    kernel, spans = gaussian._magnus_samples, []
-    monkeypatch.setattr(gaussian, "_magnus_samples", lambda *args: spans.append((args[8], args[5])) or kernel(*args))
-    rows = [(COHERENT, SystemParams(kappa1=0.1, kappa2=0.1, gamma_m=1e-3, n_th=10.0))]
-    gaussian.integrate_batch([st for st, _ in rows], [p for _, p in rows], schedule, schedule.duration)
-    assert len(spans) >= 6 and spans == [(0.0, 1.0), (1.0, 1.2), (1.2, 2.2)] * (len(spans) // 3)
+    params = SystemParams(kappa1=0.1, kappa2=0.1, gamma_m=1e-3, n_th=10.0)
+    kinks, t_final = schedule.kinks(0.0, schedule.duration), schedule.duration
+    panels, check, final_moments = gaussian._gauged_panels, gaussian._check, gaussian._final_moments
+    steps, validated = [], []
+
+    def spy_panels(params, schedule, ts, h):
+        # a (sub-)step's nodes are its start + _GL3_NODES * its length
+        h = np.broadcast_to(h, len(ts))
+        steps.append(np.column_stack([ts[:, 1] - 0.5 * h, ts[:, 1] + 0.5 * h]))
+        return panels(params, schedule, ts, h)
+
+    def spy_check(times, *stacks):
+        if validated:  # not the input check at t = 0
+            validated[-1][1] += len(times)
+        return check(times, *stacks)
+
+    def spy_final(*args):
+        validated.append([args[4], 0])  # the run's step count, its validated samples
+        return final_moments(*args)
+
+    monkeypatch.setattr(gaussian, "_gauged_panels", spy_panels)
+    monkeypatch.setattr(gaussian, "_check", spy_check)
+    monkeypatch.setattr(gaussian, "_final_moments", spy_final)
+    traj = gaussian.integrate(COHERENT, params, schedule, t_final)
+    gaussian.integrate_batch([COHERENT], [params], schedule, t_final)
+    steps = np.concatenate(steps)
+    straddled = (steps[:, :1] + 1e-12 < kinks) & (kinks < steps[:, 1:] - 1e-12)
+    assert not straddled.any()
+    for kink in kinks:  # each run of integrate and integrate_batch ends a sub-step at each kink
+        assert np.sum(np.abs(steps[:, 1] - kink) < 1e-12) == 1 + len(validated)
+    # the samples stay on the grid k T / n of whole steps
+    n = gaussian._step_count(params, gaussian._peak_coupling(schedule, t_final), t_final)
+    ends = np.arange(n // 200, n + 1, n // 200)
+    want = np.concatenate([[0.0], np.where(ends == n, t_final, ends * (t_final / n))])
+    assert n == 2000 and traj.times.tobytes() == want.tobytes()
+    # every run of integrate_batch validates 200 samples per kink piece, spread evenly over [0, T],
+    # or every step when it has fewer
+    assert len(validated) >= 2
+    assert all(count >= min(run_steps, 200 * (len(kinks) + 1)) for run_steps, count in validated)
 
 
 def test_row_that_cannot_settle_names_its_row():

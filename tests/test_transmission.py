@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import signal
 from pathlib import Path
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from omtransfer.cli import main
+from omtransfer.config import parse_config
 from omtransfer.model import ConstantCoupling, PiecewiseLinearSchedule, SystemParams, TanhRampSchedule
 from omtransfer.transmission import (
     Pulse,
@@ -33,15 +36,20 @@ def fig2_params(k1_rel, k2_rel):
     return SystemParams(kappa1=k1_rel * G0, kappa2=k2_rel * G0, gamma_m=2e-4 * G0)
 
 
-def closed_form_t31(params, g1, g2, omega):
-    # independent evaluation via the generic linear solve
-    m = np.array(
+def closed_form_m(params, g1, g2):
+    # M entry by entry, independent of model.drift_stack
+    return np.array(
         [
             [-0.5j * params.kappa1, g1, 0.0],
             [g1, -0.5j * params.gamma_m, g2],
             [0.0, g2, -0.5j * params.kappa2],
         ]
     )
+
+
+def closed_form_t31(params, g1, g2, omega):
+    # independent evaluation via the generic linear solve
+    m = closed_form_m(params, g1, g2)
     sk = np.diag(np.sqrt([params.kappa1, params.gamma_m, params.kappa2]))
     t = np.eye(3) - 1j * sk @ np.linalg.solve(omega * np.eye(3) - m, sk)
     return t
@@ -452,9 +460,8 @@ def _dop853_output(p_in, params, schedule):
     return -math.sqrt(params.kappa2) * np.array([a2[t] for t in t_grid])
 
 
-def test_transmit_pulse_time_sees_coupling_window_between_probes():
-    # couplings (4, 3) are on only between 16.2 and 16.8 of 32 equal spans of the window, with
-    # 0.01-long ramps inside single grid intervals; panels split at the four kinks
+def _window():
+    """A pulse, and couplings (4, 3) on only between 16.2 and 16.8 of 32 equal spans of its window."""
     p_in = gaussian_pulse(0.2, 1.0, 1024)
     params = SystemParams(kappa1=0.32, kappa2=0.16, gamma_m=0.001)
     t_end = p_in.times[-1]
@@ -462,19 +469,83 @@ def test_transmit_pulse_time_sees_coupling_window_between_probes():
     schedule = PiecewiseLinearSchedule(
         (0.0, a, a + 0.01, b - 0.01, b, t_end + 0.01), (0, 0, 4.0, 4.0, 0, 0), (0, 0, 3.0, 3.0, 0, 0)
     )
+    return p_in, params, schedule
+
+
+def test_transmit_pulse_time_sees_coupling_window_between_probes():
+    # 0.01-long ramps inside single grid intervals; panels split at the four kinks
+    p_in, params, schedule = _window()
     got = transmit_pulse_time(p_in, params, schedule).amplitudes
-    assert np.abs(got - _dop853_output(p_in, params, schedule)).max() < 1e-8 * np.abs(p_in.amplitudes).max()
+    # measured: 5.8e-12 of the peak from DOP853 (5.8e-12 from _exact_output too); a 3.4x margin
+    assert np.abs(got - _dop853_output(p_in, params, schedule)).max() < 2e-11 * np.abs(p_in.amplitudes).max()
 
 
 def test_transmit_pulse_time_refines_where_a_smooth_ramp_needs_it():
     # g0 dt = 1 on a tanh ramp: one Magnus-6 panel per interval is 5.5e-7 of the peak off,
-    # so only the step-doubling estimate's extra panels bring the output within 1e-8
+    # so only the step-doubling estimate's extra panels bring the output within 2.5e-10
+    # (measured: 7.6e-11 of the peak from DOP853; a 3.3x margin)
     p_in = gaussian_pulse(0.2, 1.0, 512)
     params = SystemParams(kappa1=0.32, kappa2=0.16, gamma_m=0.001)
     t_end = p_in.times[-1]
     schedule = TanhRampSchedule(g_max=1.0 / p_in.dt, center=0.45 * t_end, width=0.5, duration=t_end)
     got = transmit_pulse_time(p_in, params, schedule).amplitudes
-    assert np.abs(got - _dop853_output(p_in, params, schedule)).max() < 1e-8 * np.abs(p_in.amplitudes).max()
+    assert np.abs(got - _dop853_output(p_in, params, schedule)).max() < 2.5e-10 * np.abs(p_in.amplitudes).max()
+
+
+def _exact_output(p_in, params, schedule, ramp_splits=2000):
+    """-sqrt(k2) <a2> under a PiecewiseLinearSchedule, one exponential per constant sub-interval.
+
+    The grid holds the samples and the breakpoints, and each piece whose
+    couplings change is split into ramp_splits sub-intervals that take the
+    couplings at their midpoints.  Over a sub-interval of length h the state
+    (<v>, u, u') with u the drive, linear between samples, moves by
+    exp(h [[-i M, sqrt(k1) e_1, 0], [0, 0, 1], [0, 0, 0]]), which is exact
+    for constant couplings.  The midpoint couplings' error falls as
+    ramp_splits^-2: 200 splits are 6e-12 of the peak from 2,000 on
+    engineer_step, and 2,000 are 2e-13 from 8,000.
+    """
+    t_grid, u = p_in.times, p_in.amplitudes
+    times, g1, g2 = (np.array(f) for f in (schedule.times, schedule.g1_values, schedule.g2_values))
+    ramps = (np.diff(g1) != 0) | (np.diff(g2) != 0)
+    splits = [np.linspace(a, b, ramp_splits + 1) for a, b in zip(times[:-1][ramps], times[1:][ramps])]
+    grid = np.unique(np.concatenate([t_grid, times, *splits]))
+    grid = grid[grid <= t_grid[-1]]
+    drive = np.interp(grid, t_grid, u.real) + 1j * np.interp(grid, t_grid, u.imag)
+    z = np.zeros((grid.size - 1, 5, 5), dtype=complex)
+    couplings = zip(*schedule.values(0.5 * (grid[1:] + grid[:-1])))
+    z[:, :3, :3] = -1j * np.array([closed_form_m(params, g1, g2) for g1, g2 in couplings])
+    z[:, 0, 3], z[:, 3, 4] = math.sqrt(params.kappa1), 1.0
+    maps = expm(np.diff(grid)[:, None, None] * z)
+    y, a2 = np.zeros(3, dtype=complex), [0j]
+    for e, start, slope in zip(maps, drive, np.diff(drive) / np.diff(grid)):
+        y = e[:3, :3] @ y + e[:3, 3] * start + e[:3, 4] * slope
+        a2.append(y[2])
+    return -math.sqrt(params.kappa2) * np.array(a2)[np.isin(grid, t_grid)]
+
+
+def _engineer_step():
+    """The input pulse, params and schedule of scenarios/engineer_step.cfg."""
+    config = parse_config((Path(__file__).resolve().parents[1] / "scenarios" / "engineer_step.cfg").read_text())
+    p_in = gaussian_pulse(config.sigma_omega, config.pulse_amplitude, config.pulse_points)
+    return p_in, config.params, config.schedule
+
+
+def test_transmit_pulse_time_matches_the_exact_oracle_on_engineer_step():
+    # measured: 2.0e-11 of the input peak; a 3x margin
+    p_in, params, schedule = _engineer_step()
+    got = transmit_pulse_time(p_in, params, schedule).amplitudes
+    assert np.abs(got - _exact_output(p_in, params, schedule)).max() < 6e-11 * np.abs(p_in.amplitudes).max()
+
+
+@pytest.mark.parametrize(
+    "case,oracle,bound", [(_engineer_step, _exact_output, 6e-11), (_window, _dop853_output, 2e-11)]
+)
+def test_pulse_oracle_bounds_catch_a_scaled_sqrt_kappa1(case, oracle, bound):
+    # sqrt(kappa1) scaled by 1 + 1e-4 moves the output about 4e-5 of the peak
+    p_in, params, schedule = case()
+    scaled = dataclasses.replace(params, kappa1=params.kappa1 * (1.0 + 1e-4) ** 2)
+    got = transmit_pulse_time(p_in, scaled, schedule).amplitudes
+    assert np.abs(got - oracle(p_in, params, schedule)).max() > bound * np.abs(p_in.amplitudes).max()
 
 
 def test_transmit_pulse_time_takes_one_panel_per_constant_piece():
